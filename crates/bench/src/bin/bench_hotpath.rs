@@ -28,11 +28,6 @@
 //!   the topology → BFS → compiled-FIB setup path on BA(64), and
 //!   delivered packets/second through a healthy 4×4-mesh
 //!   co-simulation (the topo sweep's unit of work);
-//! * **pdes** — the conservative parallel network engine
-//!   ([`dra_topo::pdes`]) vs the serial oracle on 64- and 128-router
-//!   networks: delivered packets/second at `sim_threads` 1 and 4 with
-//!   a bit-identity assertion between the two, plus the speedup ratio
-//!   (meaningful only on multi-core hosts);
 //! * **rareevent** — wall-clock cost of reaching a target relative
 //!   confidence interval on the steady-state unavailability at the
 //!   paper's **real** (uninflated) failure rates, for the
@@ -681,132 +676,6 @@ fn bench_topo(quick: bool) -> Json {
     Json::Arr(entries)
 }
 
-// --------------------------------------------------------------------- pdes
-
-/// The conservative parallel network engine against the serial oracle
-/// on the scale sweep's workloads (64- and 128-router networks). Each
-/// entry runs the identical cell at `sim_threads` 1 and 4, asserts the
-/// final counters and latency moments agree bit-for-bit, and reports
-/// delivered end-to-end packets per wall-clock second for both plus
-/// the ratio. The speedup is only meaningful on a multi-core host —
-/// on a single-core runner the windowed engine pays its barrier cost
-/// for nothing and the ratio sits at or below 1.
-fn bench_pdes(quick: bool) -> Json {
-    use dra_core::handle::ArchKind;
-    use dra_topo::engine::build_network;
-    use dra_topo::link::LinkConfig;
-    use dra_topo::spec::{FlowSpec, TopoCellSpec, TopoFaultSpec};
-    use dra_topo::topology::TopologyKind;
-
-    let reps = if quick { 1 } else { 3 };
-    let threads = 4usize;
-    let horizon = if quick { 4e-3 } else { 12e-3 };
-    let cases: &[(&str, TopologyKind)] = if quick {
-        &[("mesh_8x8", TopologyKind::Mesh2D { rows: 8, cols: 8 })]
-    } else {
-        &[
-            ("mesh_8x8", TopologyKind::Mesh2D { rows: 8, cols: 8 }),
-            (
-                "ba_128",
-                TopologyKind::BarabasiAlbert {
-                    n: 128,
-                    m: 2,
-                    seed: 11,
-                },
-            ),
-        ]
-    };
-    let mut entries = Vec::new();
-    for &(name, topology) in cases {
-        let cell = TopoCellSpec {
-            id: format!("bench/{name}"),
-            arch: ArchKind::Dra,
-            topology,
-            link: LinkConfig::default(),
-            flows: FlowSpec {
-                n_flows: if quick { 24 } else { 48 },
-                rate_pps: 40_000.0,
-                packet_bytes: 700,
-            },
-            faults: TopoFaultSpec::None,
-            horizon_s: horizon,
-            drain_s: horizon * 0.25,
-            replications: 1,
-            seed_group: 0,
-        };
-        // Serial oracle, run through the kernel directly so it also
-        // yields the event count — the shared denominator for both
-        // engines' `events_per_sec` and `allocs_per_event` (the
-        // parallel engine does the same logical work; charging it the
-        // serial event count makes the two rows comparable).
-        let mut serial_rate = 0.0f64;
-        let mut serial_ev_rate = 0.0f64;
-        let mut serial_events = 0u64;
-        let mut serial_ape = f64::INFINITY;
-        let mut serial_last = None;
-        for _ in 0..reps {
-            let net = build_network(&cell, 0xD8A_70B0, 0);
-            let mut sim = net.simulation(0xD8A_70B0);
-            let a0 = allocs_now();
-            let t0 = Instant::now();
-            sim.run_until(horizon);
-            let dt = t0.elapsed().as_secs_f64().max(1e-9);
-            let allocs = allocs_now() - a0;
-            let stats = sim.model().stats.clone();
-            assert!(stats.conserved(), "bench pdes cell not conserved");
-            serial_events = sim.events_processed();
-            serial_rate = serial_rate.max(stats.delivered as f64 / dt);
-            serial_ev_rate = serial_ev_rate.max(serial_events as f64 / dt);
-            // Minimum across reps: the first rep pays one-time warmup.
-            serial_ape = serial_ape.min(allocs as f64 / serial_events.max(1) as f64);
-            serial_last = Some(stats);
-        }
-        let serial = serial_last.expect("reps >= 1");
-        let mut par_rate = 0.0f64;
-        let mut par_ev_rate = 0.0f64;
-        let mut par_ape = f64::INFINITY;
-        let mut par_last = None;
-        for _ in 0..reps {
-            let mut net = build_network(&cell, 0xD8A_70B0, 0);
-            net.cfg.sim_threads = threads;
-            let a0 = allocs_now();
-            let t0 = Instant::now();
-            let done = net.run(0xD8A_70B0, horizon);
-            let dt = t0.elapsed().as_secs_f64().max(1e-9);
-            let allocs = allocs_now() - a0;
-            assert!(done.stats.conserved(), "bench pdes cell not conserved");
-            par_rate = par_rate.max(done.stats.delivered as f64 / dt);
-            par_ev_rate = par_ev_rate.max(serial_events as f64 / dt);
-            par_ape = par_ape.min(allocs as f64 / serial_events.max(1) as f64);
-            par_last = Some(done.stats);
-        }
-        let parallel = par_last.expect("reps >= 1");
-        assert_eq!(serial.injected, parallel.injected, "{name}: injected");
-        assert_eq!(serial.delivered, parallel.delivered, "{name}: delivered");
-        assert_eq!(serial.drops, parallel.drops, "{name}: drops");
-        assert_eq!(
-            serial.latency.mean().to_bits(),
-            parallel.latency.mean().to_bits(),
-            "{name}: latency moments must be bit-identical"
-        );
-        assert!(serial.delivered > 0, "{name}: delivered nothing");
-        entries.push(Json::obj(vec![
-            ("name", Json::Str(name.to_string())),
-            ("items", Json::Num(serial.delivered as f64)),
-            ("rate_per_sec", Json::Num(par_rate)),
-            ("serial_per_sec", Json::Num(serial_rate)),
-            ("threads", Json::Num(threads as f64)),
-            ("speedup_vs_serial", Json::Num(par_rate / serial_rate)),
-            ("events", Json::Num(serial_events as f64)),
-            ("events_per_sec", Json::Num(par_ev_rate)),
-            ("serial_events_per_sec", Json::Num(serial_ev_rate)),
-            ("allocs_per_event", Json::Num(par_ape)),
-            ("serial_allocs_per_event", Json::Num(serial_ape)),
-        ]));
-    }
-    Json::Arr(entries)
-}
-
 // ---------------------------------------------------------------- rareevent
 
 /// Wall-clock-to-target-relative-CI for the rare-event estimators at
@@ -1091,7 +960,6 @@ fn speedup_section(artifact: &Json, baseline: &Json) -> Json {
         ("lookup", "stream", "dir248_per_sec"),
         ("ingress", "name", "packets_per_sec"),
         ("topo", "name", "rate_per_sec"),
-        ("pdes", "name", "rate_per_sec"),
         ("end_to_end", "arch", "events_per_sec"),
     ] {
         if let (Some(c), Some(b)) = (artifact.get(section), baseline.get(section)) {
@@ -1166,8 +1034,9 @@ fn check(artifact: &Json) -> Result<(), String> {
     if artifact.get("topo").is_some() {
         check_section(artifact, "topo", &["name", "items", "rate_per_sec"])?;
     }
-    // Optional: artifacts predating the parallel network engine lack
-    // the pdes section.
+    // Optional: only artifacts from the era of the (since deleted)
+    // windowed parallel network engine, BENCH_pr8..pr10.json, carry
+    // the pdes section; it is still validated where present.
     if let Some(pdes) = artifact.get("pdes") {
         check_section(
             artifact,
@@ -1273,16 +1142,19 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(path) = arg_value(&args, "--check") {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        let artifact = parse(&text).unwrap_or_else(|e| panic!("{path}: bad JSON: {e:?}"));
-        match check(&artifact) {
+        let verdict = match std::fs::read_to_string(&path) {
+            Ok(text) => parse(&text)
+                .map_err(|e| e.to_string())
+                .and_then(|a| check(&a).map_err(|msg| format!("schema violation: {msg}"))),
+            Err(e) => Err(format!("cannot read: {e}")),
+        };
+        match verdict {
             Ok(()) => {
                 println!("{path}: OK ({BENCH_FORMAT})");
                 return;
             }
             Err(msg) => {
-                eprintln!("{path}: schema violation: {msg}");
+                eprintln!("{path}: {msg}");
                 std::process::exit(1);
             }
         }
@@ -1310,8 +1182,6 @@ fn main() {
     let ingress = bench_ingress(quick);
     eprintln!("bench-hotpath: network-of-routers ...");
     let topo = bench_topo(quick);
-    eprintln!("bench-hotpath: parallel network engine ...");
-    let pdes = bench_pdes(quick);
     eprintln!("bench-hotpath: rare-event estimators ...");
     let rare = bench_rareevent(quick);
     eprintln!("bench-hotpath: end-to-end faceoff cell ...");
@@ -1338,7 +1208,6 @@ fn main() {
         ("lookup", lookup),
         ("ingress", ingress),
         ("topo", topo),
-        ("pdes", pdes),
         ("rareevent", rare),
         ("end_to_end", e2e),
     ]);

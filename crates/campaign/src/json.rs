@@ -11,7 +11,11 @@
 //!   worker count, and platform.
 //! * **Round-trip fidelity** — `parse(write(v)) == v` for every value
 //!   the campaign emits (finite numbers; no NaN/∞, which the writer
-//!   rejects).
+//!   rejects and the parser refuses to produce).
+//!
+//! The parser is recursive descent, so it caps nesting at
+//! [`MAX_DEPTH`]: hostile input such as a file of 200 000 `[` gets a
+//! [`ParseError`] instead of overflowing the stack.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -179,6 +183,11 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Artifacts nest
+/// fewer than 10 levels; the cap only has to keep the recursive
+/// descent well inside the smallest thread stack the tools run on.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse error with byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -202,6 +211,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -215,6 +225,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -259,12 +271,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = inner(self)?;
+        self.depth -= 1;
+        Ok(v)
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -404,9 +431,14 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+            Ok(_) => Err(ParseError {
+                at: start,
+                reason: "number out of range".to_string(),
+            }),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -459,6 +491,28 @@ mod tests {
         let v = parse("[1e3, -2.5E-2, {\"a\": [[]]}]").unwrap();
         assert_eq!(v.as_arr().unwrap()[0].as_f64(), Some(1000.0));
         assert_eq!(v.as_arr().unwrap()[1].as_f64(), Some(-0.025));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let hostile = "[".repeat(200_000);
+        let e = parse(&hostile).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH, "{e}");
+        assert!(e.reason.contains("nesting"), "{e}");
+        let objects = "{\"a\":".repeat(200_000);
+        assert!(parse(&objects).unwrap_err().reason.contains("nesting"));
+        // Exactly at the cap still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
+    }
+
+    #[test]
+    fn overflowing_numbers_are_rejected() {
+        assert!(parse("1e999").is_err());
+        assert!(parse("[-1e400]").is_err());
+        assert_eq!(parse("1e308").unwrap().as_f64(), Some(1e308));
     }
 
     #[test]

@@ -44,9 +44,7 @@
 //! simulation moves between regimes (warmup, steady state, drain).
 //! Resizes reuse retained storage (a scratch buffer plus the physical
 //! bucket vector, which never shrinks) so a steady-state resize
-//! performs no heap allocation — the parallel network engine runs one
-//! small calendar per logical process and crosses resize boundaries
-//! every few barrier windows.
+//! performs no heap allocation.
 
 use std::collections::VecDeque;
 
@@ -99,9 +97,7 @@ pub struct CalendarQueue<T> {
     /// allocated-but-empty so the next grow refills capacity instead
     /// of allocating. A population that oscillates across a resize
     /// boundary therefore re-files entries through retained storage —
-    /// zero heap traffic — rather than reallocating every bucket (the
-    /// parallel network engine runs thousands of small per-LP queues
-    /// whose event counts swing every barrier window).
+    /// zero heap traffic — rather than reallocating every bucket.
     buckets: Vec<VecDeque<Entry<T>>>,
     /// Logical bucket count minus one; always a power of two minus one.
     mask: usize,
@@ -307,24 +303,6 @@ impl<T> CalendarQueue<T> {
                 // events are sparse and far out. Find the minimum by
                 // direct scan of the bucket heads.
                 return self.direct_pop(horizon);
-            }
-        }
-    }
-
-    /// Visit every queued item mutably, in unspecified order, without
-    /// disturbing keys or queue structure. The parallel network engine
-    /// uses this at window barriers to rewrite the provenance-arena
-    /// handles held by pending events when the arena compacts; any
-    /// mutation that left the `(time, seq)` order-relevant state of
-    /// the *item* inconsistent with its key is the caller's problem —
-    /// keys themselves are not touched.
-    pub fn for_each_item_mut(&mut self, mut f: impl FnMut(&mut T)) {
-        if let Some(s) = &mut self.stage {
-            f(&mut s.item);
-        }
-        for bucket in &mut self.buckets {
-            for e in bucket.iter_mut() {
-                f(&mut e.item);
             }
         }
     }
@@ -624,25 +602,6 @@ mod tests {
         assert_eq!(q.pop().map(|(t, _, _)| t), Some(100.0));
         q.push(50.0, 64, 64);
         assert_eq!(q.pop(), Some((50.0, 64, 64)));
-    }
-
-    #[test]
-    fn for_each_item_mut_visits_everything_and_preserves_order() {
-        let mut q = CalendarQueue::new();
-        // One staged event plus enough bucketed ones to force resizes.
-        for s in 0..300u64 {
-            q.push(s as f64 * 0.25, s, s);
-        }
-        let mut seen = Vec::new();
-        q.for_each_item_mut(|v| {
-            seen.push(*v);
-            *v += 1000;
-        });
-        seen.sort_unstable();
-        assert_eq!(seen, (0..300).collect::<Vec<u64>>());
-        for want in 0..300u64 {
-            assert_eq!(q.pop(), Some((want as f64 * 0.25, want, want + 1000)));
-        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod trace;
 pub use hist::CompactHist;
 pub use lifecycle::{is_sampled, sample_hash};
 pub use netscope::{
-    EngineProfile, FlowSpan, ForensicEntry, ForensicKind, NetScopeSnapshot, NodeCounters, SpanKind,
+    FlowSpan, ForensicEntry, ForensicKind, NetScopeSnapshot, NodeCounters, SpanKind,
     NET_DROP_CAUSES, NET_SNAPSHOT_FORMAT,
 };
 pub use recorder::{Event, EventKind, Ring};

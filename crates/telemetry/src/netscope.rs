@@ -1,5 +1,5 @@
 //! Network-scope telemetry: per-router counters, multi-hop flow
-//! spans, a fault-forensics ledger, and the PDES engine profile.
+//! spans, and a fault-forensics ledger.
 //!
 //! The single-router [`Snapshot`](crate::Snapshot) stops at the
 //! chassis boundary; this module is its network-of-routers sibling,
@@ -9,15 +9,10 @@
 //!
 //! ## Determinism contract
 //!
-//! The snapshot splits into two sections with different guarantees:
-//!
-//! - **`deterministic`** — node counters, the forensics ledger, flow
-//!   spans, and the frozen flight-recorder window. Everything here is
-//!   derived from sim-time ordered data and must be byte-identical at
-//!   any `--sim-threads` and any worker count. CI enforces this.
-//! - **`profile`** — the PDES engine profile (wall-clock, barrier
-//!   stalls, per-LP load). Wall-clock measurements are inherently
-//!   non-deterministic; consumers must never diff this section.
+//! Every section — node counters, the forensics ledger, flow spans,
+//! and the frozen flight-recorder window — is derived from sim-time
+//! ordered data, so the whole document is byte-identical at any
+//! worker count. CI enforces this.
 //!
 //! [`NetScopeSnapshot::merge`] is commutative and associative: list
 //! sections merge by concatenate-then-canonical-sort (a multiset
@@ -27,7 +22,10 @@ use crate::jsonw;
 use crate::snapshot::{write_anomaly, Anomaly};
 
 /// Version tag of the exported network-scope JSON document.
-pub const NET_SNAPSHOT_FORMAT: &str = "dra-topo-telemetry/v1";
+///
+/// `v2` dropped `v1`'s wall-clock `profile` section and, with it, the
+/// `deterministic` wrapper object: every section is now top level.
+pub const NET_SNAPSHOT_FORMAT: &str = "dra-topo-telemetry/v2";
 
 /// Number of network drop causes (`NetDropCause` has 8 variants; the
 /// producer supplies the names so this crate stays model-agnostic).
@@ -96,8 +94,7 @@ impl SpanKind {
     }
 }
 
-/// One hop-resolved segment of a sampled packet's life, reconstructed
-/// from the provenance chain / hop log.
+/// One hop-resolved segment of a sampled packet's life.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSpan {
     /// Packet id.
@@ -191,117 +188,6 @@ impl ForensicEntry {
     }
 }
 
-/// PDES engine profile: wall-clock and load measurements from the
-/// windowed parallel runs. **Non-deterministic** — lives only in the
-/// snapshot's `profile` section, never in `deterministic`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineProfile {
-    /// Parallel runs folded into this profile.
-    pub runs: u64,
-    /// Worker threads (max across runs).
-    pub threads: u64,
-    /// Barrier windows executed (sum across runs).
-    pub windows: u64,
-    /// Cross-LP messages exchanged (sum).
-    pub cross_messages: u64,
-    /// Wall-clock spent inside the windowed engine, nanoseconds (sum).
-    pub wall_ns: u64,
-    /// Wall-clock all threads spent stalled at barriers, ns (sum).
-    pub barrier_wait_ns: u64,
-    /// Windows in which at least one LP processed an event (sum).
-    pub nonempty_windows: u64,
-    /// Sum over windows of the busiest LP's event count — the serial
-    /// critical path under perfect balance.
-    pub window_max_events_sum: u64,
-    /// Events processed per LP (pairwise-added; shorter runs extend
-    /// with zeros, so positions only align within one topology).
-    pub lp_events: Vec<u64>,
-    /// Windows in which each LP processed at least one event.
-    pub lp_busy_windows: Vec<u64>,
-    /// Smallest per-LP lookahead seen, seconds.
-    pub lookahead_min_s: f64,
-    /// Largest per-LP lookahead seen, seconds.
-    pub lookahead_max_s: f64,
-    /// Sum of per-LP lookaheads (mean = sum / lps).
-    pub lookahead_sum_s: f64,
-    /// LP-lookahead samples behind the min/max/sum.
-    pub lookahead_lps: u64,
-}
-
-impl Default for EngineProfile {
-    fn default() -> Self {
-        EngineProfile {
-            runs: 0,
-            threads: 0,
-            windows: 0,
-            cross_messages: 0,
-            wall_ns: 0,
-            barrier_wait_ns: 0,
-            nonempty_windows: 0,
-            window_max_events_sum: 0,
-            lp_events: Vec::new(),
-            lp_busy_windows: Vec::new(),
-            lookahead_min_s: f64::INFINITY,
-            lookahead_max_s: 0.0,
-            lookahead_sum_s: 0.0,
-            lookahead_lps: 0,
-        }
-    }
-}
-
-fn add_extend(dst: &mut Vec<u64>, src: &[u64]) {
-    if dst.len() < src.len() {
-        dst.resize(src.len(), 0);
-    }
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d += s;
-    }
-}
-
-impl EngineProfile {
-    /// Fold another run's profile into this one.
-    pub fn merge(&mut self, o: &EngineProfile) {
-        self.runs += o.runs;
-        self.threads = self.threads.max(o.threads);
-        self.windows += o.windows;
-        self.cross_messages += o.cross_messages;
-        self.wall_ns += o.wall_ns;
-        self.barrier_wait_ns += o.barrier_wait_ns;
-        self.nonempty_windows += o.nonempty_windows;
-        self.window_max_events_sum += o.window_max_events_sum;
-        add_extend(&mut self.lp_events, &o.lp_events);
-        add_extend(&mut self.lp_busy_windows, &o.lp_busy_windows);
-        self.lookahead_min_s = self.lookahead_min_s.min(o.lookahead_min_s);
-        self.lookahead_max_s = self.lookahead_max_s.max(o.lookahead_max_s);
-        self.lookahead_sum_s += o.lookahead_sum_s;
-        self.lookahead_lps += o.lookahead_lps;
-    }
-
-    /// Total events processed across all LPs.
-    pub fn events_total(&self) -> u64 {
-        self.lp_events.iter().sum()
-    }
-
-    /// Busiest LP's event count.
-    pub fn lp_events_max(&self) -> u64 {
-        self.lp_events.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Load imbalance: max LP events over mean LP events (1.0 =
-    /// perfectly balanced; 0.0 when no events were processed).
-    pub fn load_imbalance(&self) -> f64 {
-        let n = self.lp_events.len() as f64;
-        let total = self.events_total() as f64;
-        if n == 0.0 || total == 0.0 {
-            return 0.0;
-        }
-        self.lp_events_max() as f64 / (total / n)
-    }
-}
-
-/// Per-LP event counts serialized into JSON before truncation.
-const LP_EVENTS_IN_JSON: usize = 256;
-
 /// Flow spans serialized into JSON before truncation (the full list
 /// stays available in the struct and feeds the Perfetto exporter).
 const SPANS_IN_JSON: usize = 2048;
@@ -323,15 +209,11 @@ pub struct NetScopeSnapshot {
     /// Flight-recorder window frozen by the first conservation-ledger
     /// violation (earliest trip wins across merges).
     pub frozen: Option<Anomaly>,
-    /// PDES engine profile — **non-deterministic**, `None` for serial
-    /// runs or when profiling was not requested.
-    pub profile: Option<EngineProfile>,
 }
 
 impl NetScopeSnapshot {
     /// Merge another cell's snapshot into this one. Commutative and
-    /// associative: byte-identical merged output at any worker count
-    /// or LP partition.
+    /// associative: byte-identical merged output at any worker count.
     ///
     /// # Panics
     /// Panics if both snapshots name drop causes and the names differ
@@ -375,22 +257,16 @@ impl NetScopeSnapshot {
         if other_wins {
             self.frozen = other.frozen.clone();
         }
-        match (&mut self.profile, &other.profile) {
-            (Some(p), Some(op)) => p.merge(op),
-            (None, Some(op)) => self.profile = Some(op.clone()),
-            _ => {}
-        }
     }
 
-    /// Serialize as a `dra-topo-telemetry/v1` JSON document with the
-    /// `deterministic` / `profile` split (see the module docs).
+    /// Serialize as a `dra-topo-telemetry/v2` JSON document.
     pub fn to_json_string(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\"format\":");
         jsonw::str(&mut out, NET_SNAPSHOT_FORMAT);
         out.push_str(",\"cells_merged\":");
         jsonw::uint(&mut out, self.cells_merged);
-        out.push_str(",\"deterministic\":{\"n_nodes\":");
+        out.push_str(",\"n_nodes\":");
         jsonw::uint(&mut out, self.nodes.len() as u64);
         out.push_str(",\"drop_causes\":[");
         for (i, name) in self.drop_causes.iter().enumerate() {
@@ -497,67 +373,6 @@ impl NetScopeSnapshot {
             None => out.push_str("null"),
             Some(a) => write_anomaly(&mut out, a),
         }
-        out.push_str("},\"profile\":");
-        match &self.profile {
-            None => out.push_str("null"),
-            Some(p) => {
-                out.push_str("{\"runs\":");
-                jsonw::uint(&mut out, p.runs);
-                out.push_str(",\"threads\":");
-                jsonw::uint(&mut out, p.threads);
-                out.push_str(",\"windows\":");
-                jsonw::uint(&mut out, p.windows);
-                out.push_str(",\"nonempty_windows\":");
-                jsonw::uint(&mut out, p.nonempty_windows);
-                out.push_str(",\"cross_messages\":");
-                jsonw::uint(&mut out, p.cross_messages);
-                out.push_str(",\"wall_ns\":");
-                jsonw::uint(&mut out, p.wall_ns);
-                out.push_str(",\"barrier_wait_ns\":");
-                jsonw::uint(&mut out, p.barrier_wait_ns);
-                out.push_str(",\"window_max_events_sum\":");
-                jsonw::uint(&mut out, p.window_max_events_sum);
-                out.push_str(",\"lp_count\":");
-                jsonw::uint(&mut out, p.lp_events.len() as u64);
-                out.push_str(",\"events_total\":");
-                jsonw::uint(&mut out, p.events_total());
-                out.push_str(",\"lp_events_max\":");
-                jsonw::uint(&mut out, p.lp_events_max());
-                out.push_str(",\"load_imbalance\":");
-                jsonw::num(&mut out, p.load_imbalance());
-                out.push_str(",\"busy_windows_total\":");
-                jsonw::uint(&mut out, p.lp_busy_windows.iter().sum());
-                out.push_str(",\"lookahead_s\":{\"min\":");
-                let (lo, mean, hi) = if p.lookahead_lps == 0 {
-                    (0.0, 0.0, 0.0)
-                } else {
-                    (
-                        p.lookahead_min_s,
-                        p.lookahead_sum_s / p.lookahead_lps as f64,
-                        p.lookahead_max_s,
-                    )
-                };
-                jsonw::num(&mut out, lo);
-                out.push_str(",\"mean\":");
-                jsonw::num(&mut out, mean);
-                out.push_str(",\"max\":");
-                jsonw::num(&mut out, hi);
-                out.push_str("},\"lp_events_truncated\":");
-                out.push_str(if p.lp_events.len() > LP_EVENTS_IN_JSON {
-                    "true"
-                } else {
-                    "false"
-                });
-                out.push_str(",\"lp_events\":[");
-                for (i, e) in p.lp_events.iter().take(LP_EVENTS_IN_JSON).enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    jsonw::uint(&mut out, *e);
-                }
-                out.push_str("]}");
-            }
-        }
         out.push('}');
         out
     }
@@ -601,7 +416,6 @@ mod tests {
             forensics: vec![entry(t, node)],
             spans: vec![span(node as u64, node, t)],
             frozen: None,
-            profile: None,
         }
     }
 
@@ -645,45 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn profile_merges_by_summation() {
-        let mut p = EngineProfile {
-            runs: 1,
-            threads: 2,
-            windows: 10,
-            lp_events: vec![5, 3],
-            lp_busy_windows: vec![4, 2],
-            lookahead_min_s: 1e-6,
-            lookahead_max_s: 2e-6,
-            lookahead_sum_s: 3e-6,
-            lookahead_lps: 2,
-            ..EngineProfile::default()
-        };
-        let q = EngineProfile {
-            runs: 1,
-            threads: 4,
-            windows: 7,
-            lp_events: vec![1, 1, 8],
-            lp_busy_windows: vec![1, 1, 7],
-            lookahead_min_s: 5e-7,
-            lookahead_max_s: 1e-6,
-            lookahead_sum_s: 2e-6,
-            lookahead_lps: 3,
-            ..EngineProfile::default()
-        };
-        p.merge(&q);
-        assert_eq!(p.runs, 2);
-        assert_eq!(p.threads, 4);
-        assert_eq!(p.windows, 17);
-        assert_eq!(p.lp_events, vec![6, 4, 8]);
-        assert_eq!(p.events_total(), 18);
-        assert_eq!(p.lp_events_max(), 8);
-        assert!((p.load_imbalance() - 8.0 / 6.0).abs() < 1e-12);
-        assert_eq!(p.lookahead_min_s, 5e-7);
-        assert_eq!(p.lookahead_max_s, 2e-6);
-    }
-
-    #[test]
-    fn json_shape_splits_deterministic_and_profile() {
+    fn json_shape_is_flat_v2() {
         let mut s = snap(0, 1.0);
         s.forensics.push(ForensicEntry {
             t: 0.5,
@@ -694,37 +470,14 @@ mod tests {
             drops_at: [1, 0, 0, 0, 0, 0, 0, 0],
         });
         s.forensics.sort_unstable_by(ForensicEntry::cmp_canonical);
-        s.profile = Some(EngineProfile {
-            runs: 1,
-            threads: 2,
-            windows: 4,
-            lp_events: vec![3, 1],
-            lp_busy_windows: vec![2, 1],
-            lookahead_min_s: 1e-6,
-            lookahead_max_s: 1e-6,
-            lookahead_sum_s: 2e-6,
-            lookahead_lps: 2,
-            ..EngineProfile::default()
-        });
         let json = s.to_json_string();
-        assert!(json.starts_with("{\"format\":\"dra-topo-telemetry/v1\""));
-        assert!(json.contains("\"deterministic\":{\"n_nodes\":1"));
+        assert!(json
+            .starts_with("{\"format\":\"dra-topo-telemetry/v2\",\"cells_merged\":1,\"n_nodes\":1"));
         assert!(json.contains("\"kind\":\"action\""));
         assert!(json.contains("\"label\":\"sru-kill node3/lc0\""));
         assert!(json.contains("\"kind\":\"flow_down\""));
         assert!(json.contains("\"cause\":\"c\""));
-        assert!(json.contains("\"frozen\":null"));
-        assert!(json.contains("\"profile\":{\"runs\":1"));
-        assert!(json.contains("\"load_imbalance\":1.5"));
-        // The profile section comes after the deterministic one closes.
-        let det = json.find("\"deterministic\"").unwrap();
-        let prof = json.find("\"profile\"").unwrap();
-        assert!(det < prof);
-
-        let serial = NetScopeSnapshot {
-            profile: None,
-            ..snap(0, 1.0)
-        };
-        assert!(serial.to_json_string().ends_with("\"profile\":null}"));
+        assert!(json.ends_with("\"frozen\":null}"));
+        assert!(!json.contains("deterministic") && !json.contains("profile"));
     }
 }

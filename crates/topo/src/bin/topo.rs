@@ -1,8 +1,8 @@
 //! `topo` — run network-of-routers sweeps from the command line.
 //!
 //! ```text
-//! topo [--spec NAME] [--quick] [--workers N] [--sim-threads N]
-//!      [--seed S] [--out PATH | --no-out] [--csv] [--dry-run]
+//! topo [--spec NAME] [--quick] [--workers N] [--seed S]
+//!      [--out PATH | --no-out] [--csv] [--dry-run]
 //!      [--telemetry-out PATH] [--trace-out PATH]
 //! topo --list
 //! topo --check PATH
@@ -22,7 +22,6 @@ struct Cli {
     spec: String,
     quick: bool,
     workers: Option<usize>,
-    sim_threads: Option<usize>,
     seed: Option<u64>,
     out: Option<PathBuf>,
     no_out: bool,
@@ -36,8 +35,8 @@ struct Cli {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: topo [--spec NAME] [--quick] [--workers N] [--sim-threads N]\n\
-         \x20           [--seed S] [--out PATH | --no-out] [--csv] [--dry-run]\n\
+        "usage: topo [--spec NAME] [--quick] [--workers N] [--seed S]\n\
+         \x20           [--out PATH | --no-out] [--csv] [--dry-run]\n\
          \x20           [--telemetry-out PATH] [--trace-out PATH]\n\
          \x20      topo --list\n\
          \x20      topo --check PATH\n\
@@ -45,15 +44,12 @@ fn usage() -> ! {
          Runs a named topo sweep (default: resilience) and writes a\n\
          dra-topo/v1 JSON artifact to results/topo_<spec>.json.\n\
          \n\
-         --sim-threads  threads per network simulation (default 1 = the\n\
-         \x20            serial kernel; N > 1 runs the conservative\n\
-         \x20            parallel engine; artifacts are byte-identical\n\
-         \x20            at every value)\n\
-         --telemetry-out  write the merged dra-topo-telemetry/v1\n\
+         --workers   cells simulated in parallel (default: one per\n\
+         \x20         CPU); artifacts are byte-identical at every value\n\
+         --telemetry-out  write the merged dra-topo-telemetry/v2\n\
          \x20            network-scope snapshot (per-router counters,\n\
-         \x20            fault forensics, sampled flow spans, PDES\n\
-         \x20            profile) to PATH; needs a binary built with\n\
-         \x20            `--features telemetry`\n\
+         \x20            fault forensics, sampled flow spans) to PATH;\n\
+         \x20            needs a binary built with `--features telemetry`\n\
          --trace-out  write the sampled packets' multi-hop flow trace\n\
          \x20         as Chrome trace_event JSON to PATH (open at\n\
          \x20         https://ui.perfetto.dev); same feature gate\n\
@@ -70,7 +66,6 @@ fn parse_cli() -> Cli {
         spec: "resilience".into(),
         quick: false,
         workers: None,
-        sim_threads: None,
         seed: None,
         out: None,
         no_out: false,
@@ -94,9 +89,6 @@ fn parse_cli() -> Cli {
             "--quick" => cli.quick = true,
             "--workers" => {
                 cli.workers = Some(value("--workers").parse().unwrap_or_else(|_| usage()))
-            }
-            "--sim-threads" => {
-                cli.sim_threads = Some(value("--sim-threads").parse().unwrap_or_else(|_| usage()))
             }
             "--seed" => cli.seed = Some(value("--seed").parse().unwrap_or_else(|_| usage())),
             "--out" => cli.out = Some(PathBuf::from(value("--out"))),
@@ -269,7 +261,6 @@ fn main() -> ExitCode {
     };
     let opts = TopoRunOptions {
         workers: cli.workers,
-        sim_threads: cli.sim_threads,
         out,
         quiet: false,
         telemetry_out: cli.telemetry_out.clone(),

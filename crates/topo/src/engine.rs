@@ -41,19 +41,14 @@ const FLOW_TAG: u64 = 0xF10D_0000_0000_0001;
 pub struct TopoRunOptions {
     /// Worker threads (None = one per CPU).
     pub workers: Option<usize>,
-    /// Threads for each cell's network simulation (None = 1, the
-    /// serial kernel). Any value produces byte-identical artifacts;
-    /// N > 1 runs [`crate::pdes`] inside each worker.
-    pub sim_threads: Option<usize>,
     /// Artifact path (None = don't write, return text only).
     pub out: Option<PathBuf>,
     /// Suppress progress output.
     pub quiet: bool,
-    /// Write the merged `dra-topo-telemetry/v1` network-scope snapshot
+    /// Write the merged `dra-topo-telemetry/v2` network-scope snapshot
     /// here (requires the `telemetry` cargo feature; collection turns
-    /// on iff this or `trace_out` is set). The snapshot's
-    /// `deterministic` section is byte-identical at any
-    /// `sim_threads`/`workers`; only its `profile` section is not.
+    /// on iff this or `trace_out` is set). The snapshot is
+    /// byte-identical at any `workers`.
     pub telemetry_out: Option<PathBuf>,
     /// Write the Chrome `trace_event` flow trace of the sampled
     /// packets here (requires the `telemetry` cargo feature).
@@ -99,10 +94,9 @@ pub fn run(spec: &TopoSpec, opts: &TopoRunOptions) -> std::io::Result<TopoOutcom
         );
     }
     let indices: Vec<usize> = (0..spec.cells.len()).collect();
-    let sim_threads = opts.sim_threads.unwrap_or(1);
     let results = pool.try_map(indices.clone(), {
         let spec = spec.clone();
-        move |i: &usize| (*i, run_cell(&spec, *i, sim_threads, collect))
+        move |i: &usize| (*i, run_cell(&spec, *i, collect))
     });
     let mut done: BTreeMap<u64, Json> = BTreeMap::new();
     // Per-cell telemetry, keyed by cell index: folding in index order
@@ -312,8 +306,8 @@ pub fn build_network(cell: &TopoCellSpec, master_seed: u64, replication: u32) ->
 }
 
 /// Network-scope sampling density for CLI-driven collection: every
-/// 64th packet gets hop-resolved flow spans (counters, forensics, and
-/// the profiler are unsampled — they see everything).
+/// 64th packet gets hop-resolved flow spans (counters and forensics
+/// are unsampled — they see everything).
 #[cfg(feature = "telemetry")]
 const TELEMETRY_SAMPLE_EVERY: u64 = 64;
 
@@ -331,7 +325,7 @@ type CellTele = ();
 
 /// Run every replication of one cell and reduce to its JSON record
 /// (plus, when `collect` is set, its telemetry).
-fn run_cell(spec: &TopoSpec, index: usize, sim_threads: usize, collect: bool) -> (Json, CellTele) {
+fn run_cell(spec: &TopoSpec, index: usize, collect: bool) -> (Json, CellTele) {
     #[cfg(not(feature = "telemetry"))]
     let _ = collect;
     let cell = &spec.cells[index];
@@ -347,8 +341,8 @@ fn run_cell(spec: &TopoSpec, index: usize, sim_threads: usize, collect: bool) ->
     #[cfg(feature = "telemetry")]
     let mut cell_tele: CellTele = None;
     for rep in 0..cell.replications {
+        #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
         let mut net = build_network(cell, spec.master_seed, rep);
-        net.cfg.sim_threads = sim_threads;
         #[cfg(feature = "telemetry")]
         if collect {
             // The hub (flight-recorder ring + anomaly freeze) is
@@ -390,7 +384,7 @@ fn run_cell(spec: &TopoSpec, index: usize, sim_threads: usize, collect: bool) ->
         if collect {
             // Distinct Perfetto pid/arrow namespaces per (cell, rep):
             // pure functions of the indices, so the merged trace is
-            // worker- and sim-thread-invariant.
+            // worker-invariant.
             let mut net = net;
             let report = net
                 .export_net_telemetry(
@@ -594,7 +588,6 @@ mod tests {
                 &spec,
                 &TopoRunOptions {
                     workers: Some(w),
-                    sim_threads: None,
                     out: None,
                     quiet: true,
                     ..Default::default()
@@ -617,7 +610,6 @@ mod tests {
             &spec,
             &TopoRunOptions {
                 workers: Some(1),
-                sim_threads: None,
                 out: None,
                 quiet: true,
                 ..Default::default()
@@ -656,7 +648,6 @@ mod tests {
                 &spec,
                 &TopoRunOptions {
                     workers: Some(workers),
-                    sim_threads: None,
                     out: None,
                     quiet: true,
                     ..Default::default()
@@ -680,36 +671,6 @@ mod tests {
             let (n, errors) = validate_artifact(&out.artifact_text).unwrap();
             assert_eq!((n, errors), (2, 1));
         }
-    }
-
-    #[test]
-    fn artifact_is_sim_thread_invariant() {
-        let spec = tiny_spec();
-        let run_with = |t| {
-            run(
-                &spec,
-                &TopoRunOptions {
-                    workers: Some(2),
-                    sim_threads: Some(t),
-                    out: None,
-                    quiet: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-            .artifact_text
-        };
-        let serial = run_with(1);
-        assert_eq!(
-            serial,
-            run_with(2),
-            "artifact must be byte-identical at --sim-threads 2"
-        );
-        assert_eq!(
-            serial,
-            run_with(4),
-            "artifact must be byte-identical at --sim-threads 4"
-        );
     }
 
     #[test]

@@ -15,13 +15,9 @@
 //! * [`net`] — the co-simulation model: N
 //!   [`RouterHandle`](dra_core::handle::RouterHandle)-wrapped BDR/DRA
 //!   routers advanced lazily on one shared DES clock, multi-hop flows,
-//!   per-node fault timelines, and composed drop accounting.
-//! * [`pdes`] — conservative parallel execution of the same model:
-//!   per-router logical processes on barrier windows (lookahead = the
-//!   minimum attached link latency), byte-identical to the serial
-//!   engine at any thread count (`NetConfig::sim_threads`).
-//! * [`chain`] — the interned parent-pointer provenance arena behind
-//!   the parallel engine's tie ordering (zero allocations per hop).
+//!   per-node fault timelines, and composed drop accounting. This is
+//!   the only network engine; sweeps parallelize across cells on the
+//!   campaign worker pool, not inside one network.
 //! * [`stats`] — network metrics: packet conservation, end-to-end
 //!   delivery ratio, per-flow availability.
 //! * [`seeds`] — the per-node SplitMix64 seed coordinate keeping N
@@ -31,20 +27,18 @@
 //!   pool into byte-reproducible `dra-topo/v1` artifacts.
 //! * [`telemetry`] (feature `telemetry`) — network-scope
 //!   observability: per-router counters, hop-resolved flow spans with
-//!   Perfetto export, the fault-forensics ledger, and the PDES engine
-//!   profiler, exported as a `dra-topo-telemetry/v1` snapshot whose
-//!   deterministic section is byte-identical at any `sim_threads`.
+//!   Perfetto export, and the fault-forensics ledger, exported as a
+//!   `dra-topo-telemetry/v2` snapshot that is byte-identical at any
+//!   worker count.
 //!
 //! See `examples/network_resilience.rs` and the `topo` CLI
 //! (`cargo run --release -p dra-topo --bin topo -- --help`).
 
 #![warn(missing_docs)]
 
-pub mod chain;
 pub mod engine;
 pub mod link;
 pub mod net;
-pub mod pdes;
 pub mod registry;
 pub mod routes;
 pub mod seeds;

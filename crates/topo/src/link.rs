@@ -12,8 +12,7 @@
 //! from [`LinkConfig::latency_s`], overridable via
 //! [`NetworkSim::set_link_latency`](crate::net::NetworkSim::set_link_latency)),
 //! so heterogeneous topologies — a slow WAN edge on a fast mesh — are
-//! expressible; the parallel engine derives its conservative lookahead
-//! from the *minimum* attached latency ([`LinkArena::min_latency`]).
+//! expressible.
 
 /// Link parameters (uniform across a topology).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,9 +113,7 @@ impl LinkState {
 
 /// Every directed link of a network in one flat slab, indexed by
 /// `(node, port)` through a per-node offset table — one contiguous
-/// allocation instead of N inner `Vec`s, and one place to answer
-/// "what is the minimum attached latency?" for the parallel engine's
-/// adaptive window width.
+/// allocation instead of N inner `Vec`s.
 #[derive(Debug, Clone)]
 pub struct LinkArena {
     states: Vec<LinkState>,
@@ -140,30 +137,6 @@ impl LinkArena {
         }
     }
 
-    /// Reassemble from per-node link vectors (the parallel engine's
-    /// decomposition, inverted).
-    pub fn from_per_node(parts: impl Iterator<Item = Vec<LinkState>>) -> LinkArena {
-        let mut offsets = vec![0u32];
-        let mut states = Vec::new();
-        for p in parts {
-            states.extend_from_slice(&p);
-            offsets.push(states.len() as u32);
-        }
-        LinkArena { states, offsets }
-    }
-
-    /// Split into one owned `Vec<LinkState>` per node (consumes the
-    /// arena; used once per run by the parallel decomposition).
-    pub fn into_per_node(self) -> Vec<Vec<LinkState>> {
-        let mut out = Vec::with_capacity(self.offsets.len() - 1);
-        let mut states = self.states.into_iter();
-        for w in self.offsets.windows(2) {
-            let n = (w[1] - w[0]) as usize;
-            out.push(states.by_ref().take(n).collect());
-        }
-        out
-    }
-
     /// Directed link out of `node` via `port`.
     #[inline]
     pub fn at(&self, node: u32, port: u16) -> &LinkState {
@@ -174,27 +147,6 @@ impl LinkArena {
     #[inline]
     pub fn at_mut(&mut self, node: u32, port: u16) -> &mut LinkState {
         &mut self.states[self.offsets[node as usize] as usize + port as usize]
-    }
-
-    /// The minimum propagation latency over every directed link, or
-    /// `None` for a linkless (single-node) network. This is the
-    /// conservative lookahead: every cross-router handoff charges at
-    /// least this much propagation.
-    pub fn min_latency(&self) -> Option<f64> {
-        self.states
-            .iter()
-            .map(|s| s.latency_s)
-            .min_by(f64::total_cmp)
-    }
-
-    /// Total directed links.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// True when no links exist.
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
     }
 }
 
@@ -269,20 +221,13 @@ mod tests {
     }
 
     #[test]
-    fn arena_indexes_and_round_trips() {
+    fn arena_indexes_per_node_ports() {
         let mut arena = LinkArena::from_degrees([2usize, 3, 1].into_iter(), 10e-6);
-        assert_eq!(arena.len(), 6);
         arena.at_mut(1, 2).set_up(false);
         arena.at_mut(2, 0).latency_s = 99e-6;
         assert!(!arena.at(1, 2).up);
         assert!(arena.at(0, 0).up && arena.at(1, 1).up);
-        assert_eq!(arena.min_latency(), Some(10e-6));
-        let parts = arena.clone().into_per_node();
-        assert_eq!(parts.iter().map(Vec::len).collect::<Vec<_>>(), [2, 3, 1]);
-        assert!(!parts[1][2].up);
-        let back = LinkArena::from_per_node(parts.into_iter());
-        assert!(!back.at(1, 2).up);
-        assert_eq!(back.at(2, 0).latency_s, 99e-6);
-        assert_eq!(back.len(), 6);
+        assert_eq!(arena.at(2, 0).latency_s, 99e-6);
+        assert_eq!(arena.at(1, 0).latency_s, 10e-6);
     }
 }

@@ -68,12 +68,6 @@ pub struct NetConfig {
     /// Flow injection stops at this time (the remainder of the
     /// horizon drains the network).
     pub traffic_stop_s: f64,
-    /// Threads for [`NetworkSim::run`]: 1 (the default) runs the
-    /// serial kernel — the oracle — while N > 1 runs the conservative
-    /// parallel engine ([`crate::pdes`]) with per-router logical
-    /// processes. The artifact contract: every value produces the same
-    /// bytes.
-    pub sim_threads: usize,
 }
 
 impl Default for NetConfig {
@@ -86,7 +80,6 @@ impl Default for NetConfig {
             ttl: 32,
             packet_bytes: 700,
             traffic_stop_s: f64::MAX,
-            sim_threads: 1,
         }
     }
 }
@@ -240,7 +233,7 @@ pub enum NetEvent {
 /// applying a link action on the hot timeline costs two indexed
 /// stores instead of two `port_between` binary searches.
 #[derive(Debug, Clone)]
-pub(crate) enum CompiledNetAction {
+enum CompiledNetAction {
     /// Forwarded to one router's private timeline.
     Router {
         /// Target router.
@@ -306,31 +299,28 @@ fn compile_net_action(topo: &Topology, action: NetAction) -> CompiledNetAction {
 }
 
 /// The co-simulated network.
-///
-/// Interior fields are `pub(crate)` so [`crate::pdes`] can decompose a
-/// built network into per-router logical processes and reassemble it.
 pub struct NetworkSim {
     /// The graph.
     pub topo: Topology,
     /// Per-node topology-derived FIBs.
-    pub(crate) fibs: Vec<Dir248Fib>,
+    fibs: Vec<Dir248Fib>,
     /// Per-node router handles.
-    pub(crate) nodes: Vec<RouterHandle>,
+    nodes: Vec<RouterHandle>,
     /// Every directed link, flat, indexed by `(node, port)`.
-    pub(crate) links: LinkArena,
+    links: LinkArena,
     /// Per-node EIB coverage budget (fluid queue drain time).
-    pub(crate) covered_busy: Vec<f64>,
+    covered_busy: Vec<f64>,
     /// Flows.
-    pub(crate) flows: Vec<Flow>,
+    flows: Vec<Flow>,
     /// Ordered network fault timeline.
     pub(crate) scenario: Vec<(f64, NetAction)>,
     /// `scenario` with topology lookups resolved (same indexing).
-    pub(crate) compiled: Vec<CompiledNetAction>,
+    compiled: Vec<CompiledNetAction>,
     /// Model parameters.
     pub cfg: NetConfig,
     /// Composed metrics.
     pub stats: NetStats,
-    pub(crate) next_pkt_id: u64,
+    next_pkt_id: u64,
     /// Network-scope telemetry collector (installed by
     /// [`NetworkSim::enable_net_telemetry`]; `None` = off). Boxed so
     /// the disabled hot path pays one pointer, not the collector.
@@ -405,10 +395,7 @@ impl NetworkSim {
     }
 
     /// Override the propagation latency of the cable between `a` and
-    /// `b` (both directions). The parallel engine's window width
-    /// adapts to the minimum attached latency, so slowing some links
-    /// down never affects conservative safety; speeding links up
-    /// tightens the windows automatically.
+    /// `b` (both directions).
     pub fn set_link_latency(&mut self, a: u32, b: u32, latency_s: f64) {
         assert!(
             latency_s.is_finite() && latency_s > 0.0,
@@ -444,21 +431,15 @@ impl NetworkSim {
         sim
     }
 
-    /// Run the network to `horizon`, honoring
-    /// [`NetConfig::sim_threads`]: 1 drives the serial DES kernel,
-    /// N > 1 the conservative parallel engine. Both produce the same
-    /// final state bytes (the CI `topo-smoke` job pins 1 vs 2 vs 4).
+    /// Run the network to `horizon` on the DES kernel and return the
+    /// finished model.
     pub fn run(self, seed: u64, horizon: f64) -> NetworkSim {
-        if self.cfg.sim_threads > 1 {
-            crate::pdes::run_parallel(self, seed, horizon)
-        } else {
-            let mut sim = self.simulation(seed);
-            sim.run_until(horizon);
-            sim.into_model()
-        }
+        let mut sim = self.simulation(seed);
+        sim.run_until(horizon);
+        sim.into_model()
     }
 
-    /// Serial-path conservation-ledger guard: a packet terminating
+    /// Conservation-ledger guard: a packet terminating
     /// while the ledger believes nothing is in flight is the
     /// double-count/leak the ledger exists to catch — freeze the
     /// flight-recorder window right there (first violation wins; the
@@ -510,16 +491,7 @@ impl NetworkSim {
             node,
             in_port as u32,
         );
-        let outcome = hop(
-            node,
-            &mut self.nodes[node as usize],
-            &self.fibs[node as usize],
-            &mut self.covered_busy[node as usize],
-            &self.cfg,
-            ctx.now(),
-            &mut pkt,
-            in_port,
-        );
+        let outcome = self.hop(node, ctx.now(), &mut pkt, in_port);
         #[cfg(feature = "telemetry")]
         {
             let node_transit_s = self.cfg.node_transit_s;
@@ -552,9 +524,59 @@ impl NetworkSim {
             ),
         }
     }
+
+    /// The per-hop core: advance the router to `now`, run health
+    /// checks and the FIB lookup, charge the EIB coverage budget, and
+    /// decide the packet's fate. Mutates `pkt` (hop count, TTL). The
+    /// operation *order* is load-bearing for byte-identical artifacts
+    /// (e.g. the coverage budget is consumed before the TTL check).
+    fn hop(&mut self, node: u32, now: f64, pkt: &mut NetPacket, in_port: u16) -> HopOutcome {
+        let n = node as usize;
+        let router = &mut self.nodes[n];
+        let cfg = &self.cfg;
+        pkt.hops = pkt.hops.saturating_add(1);
+        router.advance_to(now);
+        if !router.lc_serviceable(in_port) {
+            return HopOutcome::Drop(NetDropCause::IngressDown);
+        }
+        let Some(out_port) = self.fibs[n].lookup(node_addr(pkt.dst as u32, pkt.id)) else {
+            return HopOutcome::Drop(NetDropCause::NoRoute);
+        };
+        if !router.lc_serviceable(out_port) {
+            return HopOutcome::Drop(NetDropCause::EgressDown);
+        }
+        if !router.fabric_operational() {
+            return HopOutcome::Drop(NetDropCause::FabricDown);
+        }
+        let mut delay = cfg.node_transit_s;
+        if router.lc_covered(in_port) || router.lc_covered(out_port) {
+            // Covered transit detours over the EIB: serialize against
+            // the node's promised-bandwidth budget.
+            let covered_busy = &mut self.covered_busy[n];
+            let start = covered_busy.max(now);
+            let finish = start + cfg.packet_bytes as f64 * 8.0 / cfg.coverage_bps;
+            if finish - now > cfg.coverage_backlog_s {
+                return HopOutcome::Drop(NetDropCause::CoverageSaturated);
+            }
+            *covered_busy = finish;
+            delay += finish - now;
+        }
+        if node == pkt.dst as u32 {
+            HopOutcome::Deliver { delay_s: delay }
+        } else {
+            if pkt.ttl == 0 {
+                return HopOutcome::Drop(NetDropCause::TtlExceeded);
+            }
+            pkt.ttl -= 1;
+            HopOutcome::Forward {
+                delay_s: delay,
+                out_port,
+            }
+        }
+    }
 }
 
-/// Outcome of one router transit, computed by [`hop`].
+/// Outcome of one router transit, computed by [`NetworkSim::hop`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum HopOutcome {
     /// The packet dies at this hop.
@@ -572,65 +594,6 @@ pub(crate) enum HopOutcome {
         /// Egress port toward the next hop.
         out_port: u16,
     },
-}
-
-/// The per-hop core shared verbatim by the serial model and the
-/// parallel per-router logical processes: advance the router to `now`,
-/// run health checks and the FIB lookup, charge the EIB coverage
-/// budget, and decide the packet's fate. Mutates `pkt` (hop count,
-/// TTL) and the router/coverage state exactly as the serial path
-/// always has — the operation *order* here is load-bearing for
-/// byte-identical artifacts (e.g. the coverage budget is consumed
-/// before the TTL check).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn hop(
-    node: u32,
-    router: &mut RouterHandle,
-    fib: &Dir248Fib,
-    covered_busy: &mut f64,
-    cfg: &NetConfig,
-    now: f64,
-    pkt: &mut NetPacket,
-    in_port: u16,
-) -> HopOutcome {
-    pkt.hops = pkt.hops.saturating_add(1);
-    router.advance_to(now);
-    if !router.lc_serviceable(in_port) {
-        return HopOutcome::Drop(NetDropCause::IngressDown);
-    }
-    let Some(out_port) = fib.lookup(node_addr(pkt.dst as u32, pkt.id)) else {
-        return HopOutcome::Drop(NetDropCause::NoRoute);
-    };
-    if !router.lc_serviceable(out_port) {
-        return HopOutcome::Drop(NetDropCause::EgressDown);
-    }
-    if !router.fabric_operational() {
-        return HopOutcome::Drop(NetDropCause::FabricDown);
-    }
-    let mut delay = cfg.node_transit_s;
-    if router.lc_covered(in_port) || router.lc_covered(out_port) {
-        // Covered transit detours over the EIB: serialize against
-        // the node's promised-bandwidth budget.
-        let start = covered_busy.max(now);
-        let finish = start + cfg.packet_bytes as f64 * 8.0 / cfg.coverage_bps;
-        if finish - now > cfg.coverage_backlog_s {
-            return HopOutcome::Drop(NetDropCause::CoverageSaturated);
-        }
-        *covered_busy = finish;
-        delay += finish - now;
-    }
-    if node == pkt.dst as u32 {
-        HopOutcome::Deliver { delay_s: delay }
-    } else {
-        if pkt.ttl == 0 {
-            return HopOutcome::Drop(NetDropCause::TtlExceeded);
-        }
-        pkt.ttl -= 1;
-        HopOutcome::Forward {
-            delay_s: delay,
-            out_port,
-        }
-    }
 }
 
 impl Model for NetworkSim {

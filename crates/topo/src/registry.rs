@@ -117,11 +117,10 @@ pub fn smoke() -> TopoSpec {
     s
 }
 
-/// The parallel-engine scaling sweep: the composed-reliability
-/// question at N = 64, 128, and 256 routers — the sizes where serial
-/// event processing becomes the bottleneck and `--sim-threads` earns
-/// its keep. Healthy and 4-degraded twins per topology; byte-identical
-/// at every thread count (CI pins 1 vs 2 vs 4 on the quick variant).
+/// The scaling sweep: the composed-reliability question at N = 64,
+/// 128, and 256 routers, healthy and 4-degraded twins per topology.
+/// The description string predates the single network engine and is
+/// kept because it is part of the committed artifact's bytes.
 pub fn scale(quick: bool) -> TopoSpec {
     let topologies: &[TopologyKind] = if quick {
         &[TopologyKind::Mesh2D { rows: 8, cols: 8 }]
@@ -153,11 +152,10 @@ pub fn scale(quick: bool) -> TopoSpec {
     )
 }
 
-/// The second scaling tier, unlocked by the interned-provenance /
-/// zero-alloc engine overhaul: N ≥ 512 routers (32×32 mesh and
+/// The second scaling tier: N ≥ 512 routers (32×32 mesh and
 /// BA(512)), healthy and 4-degraded twins per topology. The quick
 /// variant runs one BA(512) healthy pair, sized for the CI
-/// `topo-smoke` job's sim-threads 1-vs-2-vs-4 byte-identity check.
+/// `topo-smoke` job's workers-1-vs-2 byte-identity check.
 pub fn scale2(quick: bool) -> TopoSpec {
     let topologies: &[TopologyKind] = if quick {
         &[TopologyKind::BarabasiAlbert {

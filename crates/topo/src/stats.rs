@@ -222,38 +222,4 @@ mod tests {
         // No flows at all: vacuously available.
         assert_eq!(NetStats::new(0).flow_availability(1.0), 1.0);
     }
-
-    #[test]
-    fn merged_partial_stats_stay_conserved() {
-        // The parallel engine reassembles one NetStats from per-LP
-        // partials: integer counters sum, in_flight is recomputed as
-        // injected − delivered − dropped. A merge mimicking an
-        // error-cell aggregation (one partial contributed only drops)
-        // must still satisfy the conservation ledger.
-        let mut total = NetStats::new(2);
-        let mut a = NetStats::new(2);
-        a.inject(0);
-        a.inject(0);
-        a.deliver(0, 1e-4, 3);
-        let mut b = NetStats::new(2);
-        b.inject(1);
-        b.drop_packet(NetDropCause::LinkDown);
-        for part in [&a, &b] {
-            total.injected += part.injected;
-            total.delivered += part.delivered;
-            for (acc, d) in total.drops.iter_mut().zip(part.drops) {
-                *acc += d;
-            }
-            for (acc, v) in total.flow_injected.iter_mut().zip(&part.flow_injected) {
-                *acc += v;
-            }
-            for (acc, v) in total.flow_delivered.iter_mut().zip(&part.flow_delivered) {
-                *acc += v;
-            }
-        }
-        total.in_flight = total.injected - total.delivered - total.dropped_total();
-        assert!(total.conserved());
-        assert_eq!(total.in_flight, 1);
-        assert_eq!(total.dropped_total(), 1);
-    }
 }

@@ -2,22 +2,18 @@
 //!
 //! This module is the producer side of
 //! [`dra_telemetry::NetScopeSnapshot`]: a per-run collector
-//! ([`NetTele`]) that both the serial kernel and the parallel
-//! per-router logical processes feed, and an exporter that turns the
-//! collected raw points into the snapshot's deterministic sections —
-//! per-router counters, the fault-forensics ledger, hop-resolved flow
-//! spans — plus a Perfetto (Chrome `trace_event`) trace with one
-//! track per router and flow arrows linking a packet's spans across
-//! tracks.
+//! ([`NetTele`]) the network kernel feeds, and an exporter that turns
+//! the collected raw points into the snapshot's sections — per-router
+//! counters, the fault-forensics ledger, hop-resolved flow spans —
+//! plus a Perfetto (Chrome `trace_event`) trace with one track per
+//! router and flow arrows linking a packet's spans across tracks.
 //!
-//! ## How determinism is preserved at any `--sim-threads`
+//! ## Determinism
 //!
 //! The collector records *facts with sim-time stamps*, never
 //! collection-order artifacts:
 //!
-//! * per-node counters — each node's events replay identically under
-//!   the windowed engine (the byte-identity contract of
-//!   [`crate::pdes`]), so per-node sums match the serial kernel;
+//! * per-node counters;
 //! * packet **outcome points** `(t, packet, flow, code)` for every
 //!   terminated packet — the forensics ledger (flow up/down
 //!   transitions, per-action drop census) is *derived at export* from
@@ -26,23 +22,21 @@
 //!   canonically sorted at export.
 //!
 //! Scripted-action forensic entries are derived from the scenario
-//! itself, not from runtime hooks, so they cannot depend on the
-//! engine. The one intentionally non-deterministic part — the PDES
-//! engine profile — is kept in the snapshot's separate `profile`
-//! section (see the [`dra_telemetry::netscope`] module docs).
+//! itself, not from runtime hooks. Nothing in the snapshot depends on
+//! wall-clock time or on how cells are spread over workers.
 
 use crate::link::LinkOffer;
 use crate::net::{HopOutcome, NetAction, NetPacket, NetworkSim};
 use crate::stats::NetDropCause;
 use dra_router::components::ComponentKind;
 use dra_telemetry::{
-    is_sampled, EngineProfile, FlowSpan, ForensicEntry, ForensicKind, NetScopeSnapshot,
-    NodeCounters, SpanKind, TraceEvent, NET_DROP_CAUSES,
+    is_sampled, FlowSpan, ForensicEntry, ForensicKind, NetScopeSnapshot, NodeCounters, SpanKind,
+    TraceEvent, NET_DROP_CAUSES,
 };
 
 /// One packet termination: `(sim_time, packet, flow, code)` with
 /// `code` 0 = delivered, `cause_index + 1` = dropped.
-pub(crate) type Outcome = (f64, u64, u32, u8);
+type Outcome = (f64, u64, u32, u8);
 
 /// Preallocated outcome capacity: terminations up to this count do not
 /// grow the vector, keeping the steady-state hot path allocation-free
@@ -50,30 +44,53 @@ pub(crate) type Outcome = (f64, u64, u32, u8);
 /// amortized doubling, not per-event allocation).
 const OUTCOMES_PREALLOC: usize = 65_536;
 
-/// Engine-agnostic event collector shared by the serial kernel (via
-/// [`NetTele`]) and each parallel logical process (via [`LpTele`]).
-#[derive(Debug, Clone)]
-pub(crate) struct Collect {
+/// Per-run network-scope collector, installed on a [`NetworkSim`] by
+/// [`NetworkSim::enable_net_telemetry`].
+#[derive(Debug)]
+pub(crate) struct NetTele {
+    /// Per-node counters, indexed by node id.
+    nodes: Vec<NodeCounters>,
     /// Lifecycle sampling modulus for hop points (0 = spans off).
-    pub(crate) sample_every: u64,
+    sample_every: u64,
     /// Every packet termination (delivered and dropped).
-    pub(crate) outcomes: Vec<Outcome>,
+    outcomes: Vec<Outcome>,
     /// Hop points of sampled packets (already in [`FlowSpan`] form).
-    pub(crate) points: Vec<FlowSpan>,
+    points: Vec<FlowSpan>,
 }
 
-impl Collect {
-    fn new(sample_every: u64, prealloc: usize) -> Collect {
-        Collect {
+impl NetTele {
+    fn new(n_nodes: usize, sample_every: u64) -> NetTele {
+        NetTele {
+            nodes: vec![NodeCounters::default(); n_nodes],
             sample_every,
-            outcomes: Vec::with_capacity(prealloc),
+            outcomes: Vec::with_capacity(OUTCOMES_PREALLOC),
             points: Vec::new(),
         }
     }
 
+    /// Record a sampled packet's span (no-op for unsampled packets).
     #[inline]
-    pub(crate) fn is_sampled(&self, packet: u64) -> bool {
-        is_sampled(packet, self.sample_every)
+    fn point(&mut self, pkt: &NetPacket, node: u32, t0: f64, t1: f64, kind: SpanKind, aux: u32) {
+        if is_sampled(pkt.id, self.sample_every) {
+            self.points.push(FlowSpan {
+                packet: pkt.id,
+                flow: pkt.flow,
+                node,
+                t0,
+                t1,
+                kind,
+                aux,
+            });
+        }
+    }
+
+    /// A drop of `pkt` at `node`: counter, outcome point, drop span.
+    #[inline]
+    fn dropped(&mut self, now: f64, node: u32, pkt: &NetPacket, cause: NetDropCause) {
+        self.nodes[node as usize].drops[cause.index()] += 1;
+        self.outcomes
+            .push((now, pkt.id, pkt.flow, cause.index() as u8 + 1));
+        self.point(pkt, node, now, now, SpanKind::Drop, cause.index() as u32);
     }
 
     /// A `Transit` event resolved to `outcome` at `now` on `node`.
@@ -81,49 +98,23 @@ impl Collect {
     #[inline]
     pub(crate) fn transit_outcome(
         &mut self,
-        nc: &mut NodeCounters,
         now: f64,
         node: u32,
         pkt: &NetPacket,
         outcome: &HopOutcome,
         node_transit_s: f64,
     ) {
-        nc.transits += 1;
+        self.nodes[node as usize].transits += 1;
         match *outcome {
-            HopOutcome::Drop(cause) => {
-                nc.drops[cause.index()] += 1;
-                self.outcomes
-                    .push((now, pkt.id, pkt.flow, cause.index() as u8 + 1));
-                if self.is_sampled(pkt.id) {
-                    self.points.push(FlowSpan {
-                        packet: pkt.id,
-                        flow: pkt.flow,
-                        node,
-                        t0: now,
-                        t1: now,
-                        kind: SpanKind::Drop,
-                        aux: cause.index() as u32,
-                    });
-                }
-            }
+            HopOutcome::Drop(cause) => self.dropped(now, node, pkt, cause),
             HopOutcome::Deliver { delay_s } | HopOutcome::Forward { delay_s, .. } => {
                 // Covered transits are inferred from the delay: the
                 // EIB serialization charge strictly exceeds the
                 // healthy transit time, and nothing else inflates it.
                 if delay_s > node_transit_s {
-                    nc.covered += 1;
+                    self.nodes[node as usize].covered += 1;
                 }
-                if self.is_sampled(pkt.id) {
-                    self.points.push(FlowSpan {
-                        packet: pkt.id,
-                        flow: pkt.flow,
-                        node,
-                        t0: now,
-                        t1: now + delay_s,
-                        kind: SpanKind::Transit,
-                        aux: 0,
-                    });
-                }
+                self.point(pkt, node, now, now + delay_s, SpanKind::Transit, 0);
             }
         }
     }
@@ -132,190 +123,43 @@ impl Collect {
     #[inline]
     pub(crate) fn forward_outcome(
         &mut self,
-        nc: &mut NodeCounters,
         now: f64,
         node: u32,
         out_port: u16,
         pkt: &NetPacket,
         offer: &LinkOffer,
     ) {
-        let cause = match *offer {
+        match *offer {
             LinkOffer::Sent { delay_s } => {
-                nc.forwards += 1;
-                if self.is_sampled(pkt.id) {
-                    self.points.push(FlowSpan {
-                        packet: pkt.id,
-                        flow: pkt.flow,
-                        node,
-                        t0: now,
-                        t1: now + delay_s,
-                        kind: SpanKind::Link,
-                        aux: out_port as u32,
-                    });
-                }
-                return;
+                self.nodes[node as usize].forwards += 1;
+                self.point(
+                    pkt,
+                    node,
+                    now,
+                    now + delay_s,
+                    SpanKind::Link,
+                    out_port as u32,
+                );
             }
-            LinkOffer::Down => NetDropCause::LinkDown,
-            LinkOffer::Congested => NetDropCause::LinkCongested,
-        };
-        nc.drops[cause.index()] += 1;
-        self.outcomes
-            .push((now, pkt.id, pkt.flow, cause.index() as u8 + 1));
-        if self.is_sampled(pkt.id) {
-            self.points.push(FlowSpan {
-                packet: pkt.id,
-                flow: pkt.flow,
-                node,
-                t0: now,
-                t1: now,
-                kind: SpanKind::Drop,
-                aux: cause.index() as u32,
-            });
+            LinkOffer::Down => self.dropped(now, node, pkt, NetDropCause::LinkDown),
+            LinkOffer::Congested => self.dropped(now, node, pkt, NetDropCause::LinkCongested),
         }
     }
 
     /// A `Deliver` event at the destination host port.
     #[inline]
-    pub(crate) fn delivered(
-        &mut self,
-        nc: &mut NodeCounters,
-        now: f64,
-        node: u32,
-        pkt: &NetPacket,
-    ) {
-        nc.delivered += 1;
-        self.outcomes.push((now, pkt.id, pkt.flow, 0));
-        if self.is_sampled(pkt.id) {
-            self.points.push(FlowSpan {
-                packet: pkt.id,
-                flow: pkt.flow,
-                node,
-                t0: now,
-                t1: now,
-                kind: SpanKind::Deliver,
-                aux: pkt.hops as u32,
-            });
-        }
-    }
-}
-
-/// Per-logical-process collector for the windowed parallel engine:
-/// one per router LP, folded into the run's [`NetTele`] in LP-id
-/// order at the final barrier.
-#[derive(Debug)]
-pub(crate) struct LpTele {
-    /// This LP's node counters.
-    pub(crate) nc: NodeCounters,
-    /// This LP's raw points.
-    pub(crate) col: Collect,
-    /// Provenance chains (pop times, most recent first) of sampled
-    /// packets delivered at this LP — the cross-check that exported
-    /// span timelines equal the interned chains.
-    pub(crate) chains: Vec<(u64, Vec<f64>)>,
-}
-
-impl LpTele {
-    pub(crate) fn new(sample_every: u64) -> LpTele {
-        LpTele {
-            nc: NodeCounters::default(),
-            col: Collect::new(sample_every, 1024),
-            chains: Vec::new(),
-        }
-    }
-}
-
-/// Per-run network-scope collector, installed on a [`NetworkSim`] by
-/// [`NetworkSim::enable_net_telemetry`].
-#[derive(Debug)]
-pub(crate) struct NetTele {
-    /// Per-node counters, indexed by node id.
-    pub(crate) nodes: Vec<NodeCounters>,
-    /// Raw points (serial: filled directly; parallel: folded from the
-    /// per-LP collectors in LP-id order).
-    pub(crate) col: Collect,
-    /// Engine profile of the parallel run (serial runs leave `None`).
-    pub(crate) profile: Option<EngineProfile>,
-    /// Sampled delivered packets' provenance chains (parallel runs
-    /// only; feeds the span/chain equivalence test).
-    pub(crate) sampled_chains: Vec<(u64, Vec<f64>)>,
-}
-
-impl NetTele {
-    pub(crate) fn new(n_nodes: usize, sample_every: u64) -> NetTele {
-        NetTele {
-            nodes: vec![NodeCounters::default(); n_nodes],
-            col: Collect::new(sample_every, OUTCOMES_PREALLOC),
-            profile: None,
-            sampled_chains: Vec::new(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn sample_every(&self) -> u64 {
-        self.col.sample_every
-    }
-
-    #[inline]
-    pub(crate) fn transit_outcome(
-        &mut self,
-        now: f64,
-        node: u32,
-        pkt: &NetPacket,
-        outcome: &HopOutcome,
-        node_transit_s: f64,
-    ) {
-        self.col.transit_outcome(
-            &mut self.nodes[node as usize],
-            now,
-            node,
-            pkt,
-            outcome,
-            node_transit_s,
-        );
-    }
-
-    #[inline]
-    pub(crate) fn forward_outcome(
-        &mut self,
-        now: f64,
-        node: u32,
-        out_port: u16,
-        pkt: &NetPacket,
-        offer: &LinkOffer,
-    ) {
-        self.col.forward_outcome(
-            &mut self.nodes[node as usize],
-            now,
-            node,
-            out_port,
-            pkt,
-            offer,
-        );
-    }
-
-    #[inline]
     pub(crate) fn delivered(&mut self, now: f64, node: u32, pkt: &NetPacket) {
-        self.col
-            .delivered(&mut self.nodes[node as usize], now, node, pkt);
+        self.nodes[node as usize].delivered += 1;
+        self.outcomes.push((now, pkt.id, pkt.flow, 0));
+        self.point(pkt, node, now, now, SpanKind::Deliver, pkt.hops as u32);
     }
 
-    /// Fold LP `node`'s collector into this run's (called in LP-id
-    /// order at the parallel engine's final merge — the fold order is
-    /// fixed, and the export sorts canonically anyway, so the merged
-    /// bytes cannot depend on the thread count).
-    pub(crate) fn fold_lp(&mut self, node: usize, lp: LpTele) {
-        self.nodes[node].add(&lp.nc);
-        self.col.outcomes.extend(lp.col.outcomes);
-        self.col.points.extend(lp.col.points);
-        self.sampled_chains.extend(lp.chains);
-    }
-
-    /// Build the deterministic snapshot sections and the Perfetto
-    /// trace. `scenario` must be the run's time-ordered fault
-    /// timeline; actions scheduled past `horizon_s` never fired and
-    /// are excluded. `pid_base` offsets the per-router trace tracks
-    /// (the engine uses `cell_index * 4096` so cells do not collide);
-    /// `arrow_base` salts flow-arrow ids the same way.
+    /// Build the snapshot and the Perfetto trace. `scenario` must be
+    /// the run's time-ordered fault timeline; actions scheduled past
+    /// `horizon_s` never fired and are excluded. `pid_base` offsets
+    /// the per-router trace tracks (the engine uses
+    /// `cell_index * 4096` so cells do not collide); `arrow_base`
+    /// salts flow-arrow ids the same way.
     pub(crate) fn export(
         mut self,
         scenario: &[(f64, NetAction)],
@@ -323,13 +167,12 @@ impl NetTele {
         pid_base: u32,
         arrow_base: u64,
     ) -> NetTeleReport {
-        self.col
-            .outcomes
+        self.outcomes
             .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut forensics = derive_forensics(scenario, horizon_s, &self.col.outcomes);
+        let mut forensics = derive_forensics(scenario, horizon_s, &self.outcomes);
         apply_action_counters(&mut self.nodes, scenario, horizon_s);
         forensics.sort_unstable_by(ForensicEntry::cmp_canonical);
-        let mut spans = std::mem::take(&mut self.col.points);
+        let mut spans = self.points;
         spans.sort_unstable_by(FlowSpan::cmp_canonical);
         let trace = build_trace(&spans, pid_base, arrow_base);
         let snapshot = NetScopeSnapshot {
@@ -339,7 +182,6 @@ impl NetTele {
             forensics,
             spans,
             frozen: dra_telemetry::snapshot().and_then(|s| s.anomaly),
-            profile: self.profile,
         };
         NetTeleReport { snapshot, trace }
     }
@@ -349,7 +191,7 @@ impl NetTele {
 /// Perfetto trace events (one track per router, flow arrows between).
 #[derive(Debug)]
 pub struct NetTeleReport {
-    /// Deterministic sections + optional engine profile.
+    /// Counters, forensics ledger, sampled spans, frozen window.
     pub snapshot: NetScopeSnapshot,
     /// Chrome `trace_event` records, canonical order — serialize with
     /// [`dra_telemetry::chrome_trace_json`].
@@ -558,11 +400,10 @@ impl NetworkSim {
     /// Install the network-scope telemetry collector on this run.
     ///
     /// `sample_every` is the 1-in-N lifecycle sampling modulus for
-    /// hop-resolved flow spans (0 records no spans; counters, the
-    /// forensics ledger, and — on parallel runs — the engine profile
-    /// are collected regardless). Collection observes the simulation
-    /// and never steers it: results stay byte-identical with the
-    /// collector on or off, at any `sim_threads`.
+    /// hop-resolved flow spans (0 records no spans; counters and the
+    /// forensics ledger are collected regardless). Collection observes
+    /// the simulation and never steers it: results stay byte-identical
+    /// with the collector on or off.
     pub fn enable_net_telemetry(&mut self, sample_every: u64) {
         self.tele = Some(Box::new(NetTele::new(self.topo.n_nodes(), sample_every)));
     }
@@ -591,14 +432,14 @@ impl NetworkSim {
 mod tests {
     use super::*;
     use crate::net::{Flow, NetConfig, NetScenario, NetworkSim};
+    use crate::routes::RouteTables;
     use crate::topology::{Topology, TopologyKind};
     use dra_core::handle::ArchKind;
 
-    fn mesh_net(sim_threads: usize) -> NetworkSim {
+    fn mesh_net() -> NetworkSim {
         let topo = Topology::build(TopologyKind::Mesh2D { rows: 3, cols: 3 });
         let cfg = NetConfig {
             traffic_stop_s: 6e-3,
-            sim_threads,
             ..NetConfig::default()
         };
         let flows = vec![
@@ -622,7 +463,7 @@ mod tests {
 
     #[test]
     fn serial_export_agrees_with_stats() {
-        let mut net = mesh_net(1);
+        let mut net = mesh_net();
         net.enable_net_telemetry(1); // sample every packet
         let mut done = net.run(7, HORIZON);
         let stats = done.stats.clone();
@@ -663,44 +504,66 @@ mod tests {
     }
 
     #[test]
-    fn parallel_spans_match_provenance_chains() {
-        let mut net = mesh_net(2);
+    fn sampled_spans_follow_the_static_routes() {
+        // Healthy 4x4 mesh, every packet sampled: each delivered
+        // packet's spans must retrace the route-table path of its
+        // flow, hop by hop, with no span starting before the previous
+        // one ends.
+        let topo = Topology::build(TopologyKind::Mesh2D { rows: 4, cols: 4 });
+        let routes = RouteTables::derive(&topo);
+        let cfg = NetConfig {
+            traffic_stop_s: 4e-3,
+            ..NetConfig::default()
+        };
+        let flows: Vec<Flow> = [(0, 15), (3, 12), (5, 10), (14, 1), (9, 6)]
+            .into_iter()
+            .map(|(src, dst)| Flow {
+                src,
+                dst,
+                rate_pps: 40_000.0,
+            })
+            .collect();
+        let mut net = NetworkSim::new(topo, ArchKind::Dra, cfg, flows.clone(), 0xACE);
         net.enable_net_telemetry(1);
-        let mut done = net.run(7, HORIZON);
-        let tele = done.tele.as_ref().expect("collector survives the run");
-        assert!(
-            !tele.sampled_chains.is_empty(),
-            "parallel run recorded no sampled chains"
-        );
-        for (pkt, chain) in &tele.sampled_chains {
-            // The packet's transit/link span starts, oldest first,
-            // must equal the interned provenance chain reversed (the
-            // chain stores pop times most recent first and excludes
-            // the Deliver pop).
-            let mut starts: Vec<f64> = tele
-                .col
-                .points
+        let mut done = net.run(11, 6e-3);
+        assert_eq!(done.stats.delivered, done.stats.injected, "healthy mesh");
+        let report = done.export_net_telemetry(6e-3, 0, 0).expect("collector");
+        let spans = &report.snapshot.spans;
+        let mut checked = 0u64;
+        for packet in spans.chunk_by(|a, b| a.packet == b.packet) {
+            if !packet.iter().any(|s| s.kind == SpanKind::Deliver) {
+                continue;
+            }
+            let mut packet = packet.to_vec();
+            packet.sort_by(|a, b| a.t0.total_cmp(&b.t0));
+            let flow = flows[packet[0].flow as usize];
+            let hops = routes.hops(&done.topo, flow.src, flow.dst);
+            let mut path = vec![flow.src];
+            while let Some(&at) = path.last().filter(|&&at| at != flow.dst) {
+                let port = routes.next_port[at as usize][flow.dst as usize];
+                path.push(done.topo.adj[at as usize][port as usize]);
+            }
+            let transits: Vec<u32> = packet
                 .iter()
-                .filter(|s| {
-                    s.packet == *pkt && matches!(s.kind, SpanKind::Transit | SpanKind::Link)
-                })
-                .map(|s| s.t0)
+                .filter(|s| s.kind == SpanKind::Transit)
+                .map(|s| s.node)
                 .collect();
-            starts.sort_unstable_by(f64::total_cmp);
-            let mut from_chain = chain.clone();
-            from_chain.reverse();
-            assert_eq!(
-                starts, from_chain,
-                "packet {pkt:#x}: span starts disagree with provenance chain"
-            );
+            let links = packet.iter().filter(|s| s.kind == SpanKind::Link).count();
+            assert_eq!(transits, path, "packet {}: transit nodes", packet[0].packet);
+            assert_eq!(transits.len(), hops + 1, "one transit per router");
+            assert_eq!(links, hops, "one link span per route hop");
+            for w in packet.windows(2) {
+                assert!(
+                    w[1].t0 >= w[0].t1,
+                    "packet {}: span at {} starts before the previous ends at {}",
+                    w[1].packet,
+                    w[1].t0,
+                    w[0].t1
+                );
+            }
+            checked += 1;
         }
-        // Engine profile came back from the windowed engine.
-        let report = done.export_net_telemetry(HORIZON, 0, 0).expect("collector");
-        let profile = report.snapshot.profile.expect("parallel profile");
-        assert_eq!(profile.runs, 1);
-        assert_eq!(profile.lp_events.len(), 9);
-        assert!(profile.events_total() > 0);
-        assert!(profile.lookahead_min_s > 0.0);
+        assert_eq!(checked, done.stats.delivered, "every delivery checked");
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! Network-scope telemetry contracts (feature `telemetry`).
 //!
-//! * The snapshot's `deterministic` section and the whole flow trace
-//!   are byte-identical at `--sim-threads` 1 vs 2 vs 4 — the same
-//!   invariance the artifact itself carries, extended to the
-//!   observability outputs.
+//! * The whole snapshot and the whole flow trace are byte-identical at
+//!   `--workers` 1 vs 2 — the same invariance the artifact itself
+//!   carries, extended to the observability outputs.
 //! * `NetScopeSnapshot::merge` is commutative and associative, so the
-//!   fold over per-LP / per-cell partials is partition- and
-//!   order-invariant (proptest).
+//!   fold over per-cell partials is partition- and order-invariant
+//!   (proptest).
 #![cfg(feature = "telemetry")]
 
 use dra_campaign::json::{parse, Json};
 use dra_core::handle::ArchKind;
 use dra_telemetry::{
-    EngineProfile, FlowSpan, ForensicEntry, ForensicKind, NetScopeSnapshot, NodeCounters, SpanKind,
+    FlowSpan, ForensicEntry, ForensicKind, NetScopeSnapshot, NodeCounters, SpanKind,
     NET_DROP_CAUSES,
 };
 use dra_topo::engine::{self, TopoRunOptions};
@@ -54,25 +53,16 @@ fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("dra_net_tele_{}_{tag}.json", std::process::id()))
 }
 
-/// The snapshot text split at its non-deterministic `profile` section.
-fn deterministic_prefix(snapshot_json: &str) -> &str {
-    let cut = snapshot_json
-        .rfind(",\"profile\":")
-        .expect("snapshot has a profile section");
-    &snapshot_json[..cut]
-}
-
 #[test]
-fn deterministic_section_is_sim_thread_invariant() {
+fn snapshot_and_trace_are_worker_invariant() {
     let spec = tiny_spec();
-    let run_with = |threads: usize| {
-        let snap_path = tmp(&format!("snap_t{threads}"));
-        let trace_path = tmp(&format!("trace_t{threads}"));
+    let run_with = |workers: usize| {
+        let snap_path = tmp(&format!("snap_w{workers}"));
+        let trace_path = tmp(&format!("trace_w{workers}"));
         let outcome = engine::run(
             &spec,
             &TopoRunOptions {
-                workers: Some(1),
-                sim_threads: Some(threads),
+                workers: Some(workers),
                 quiet: true,
                 telemetry_out: Some(snap_path.clone()),
                 trace_out: Some(trace_path.clone()),
@@ -88,41 +78,29 @@ fn deterministic_section_is_sim_thread_invariant() {
     };
     let (art1, snap1, trace1) = run_with(1);
     let (art2, snap2, trace2) = run_with(2);
-    let (art4, snap4, trace4) = run_with(4);
 
-    // The artifact stays byte-identical with collection on.
+    // The artifact stays byte-identical with collection on, and so do
+    // the whole snapshot and the flow trace.
     assert_eq!(art1, art2);
-    assert_eq!(art1, art4);
-    // The deterministic snapshot section is engine-invariant...
-    assert_eq!(deterministic_prefix(&snap1), deterministic_prefix(&snap2));
-    assert_eq!(deterministic_prefix(&snap1), deterministic_prefix(&snap4));
-    // ...and the flow trace is derived from it alone, so it is too.
+    assert_eq!(snap1, snap2);
     assert_eq!(trace1, trace2);
-    assert_eq!(trace1, trace4);
-
-    // Serial runs carry no engine profile; parallel runs must.
-    let doc1 = parse(&snap1).unwrap();
-    assert!(matches!(doc1.get("profile"), Some(Json::Null)));
-    let doc2 = parse(&snap2).unwrap();
-    let prof = doc2.get("profile").expect("parallel profile present");
-    assert!(prof.get("lp_events").and_then(Json::as_arr).is_some());
-    assert!(prof.get("barrier_wait_ns").and_then(Json::as_u64).is_some());
 
     // Snapshot shape: format tag, per-node counters, forensics with
     // the scripted SRU kills, sampled spans.
+    let doc = parse(&snap1).unwrap();
     assert_eq!(
-        doc1.get("format").and_then(Json::as_str),
-        Some("dra-topo-telemetry/v1")
+        doc.get("format").and_then(Json::as_str),
+        Some("dra-topo-telemetry/v2")
     );
-    let det = doc1.get("deterministic").unwrap();
-    assert_eq!(det.get("n_nodes").and_then(Json::as_u64), Some(9));
+    assert!(doc.get("profile").is_none() && doc.get("deterministic").is_none());
+    assert_eq!(doc.get("n_nodes").and_then(Json::as_u64), Some(9));
     assert_eq!(
-        det.get("drop_causes")
+        doc.get("drop_causes")
             .and_then(Json::as_arr)
             .map(<[Json]>::len),
         Some(8)
     );
-    let forensics = det.get("forensics").and_then(Json::as_arr).unwrap();
+    let forensics = doc.get("forensics").and_then(Json::as_arr).unwrap();
     assert!(
         forensics.iter().any(|e| e
             .get("label")
@@ -259,46 +237,14 @@ fn forensic() -> impl Strategy<Value = ForensicEntry> {
         })
 }
 
-fn profile() -> impl Strategy<Value = Option<EngineProfile>> {
-    proptest::option::of(
-        (
-            1u64..4,
-            1u64..4,
-            0u64..2_000,
-            0u64..500,
-            proptest::collection::vec(0u64..300, 0..9),
-        )
-            .prop_map(|(runs, threads, windows, cross, lp_events)| {
-                let lp_busy_windows = lp_events.iter().map(|&e| e.min(7)).collect();
-                EngineProfile {
-                    runs,
-                    threads,
-                    windows,
-                    cross_messages: cross,
-                    wall_ns: windows * 997,
-                    barrier_wait_ns: windows * 41,
-                    nonempty_windows: windows / 2,
-                    window_max_events_sum: windows,
-                    lp_events,
-                    lp_busy_windows,
-                    lookahead_min_s: 1e-5,
-                    lookahead_max_s: 2e-5,
-                    lookahead_sum_s: 1.5e-5,
-                    lookahead_lps: 1,
-                }
-            }),
-    )
-}
-
 fn snapshot() -> impl Strategy<Value = NetScopeSnapshot> {
     (
         1u64..3,
         proptest::collection::vec(node_counters(), 0..9),
         proptest::collection::vec(forensic(), 0..12),
         proptest::collection::vec(span(), 0..24),
-        profile(),
     )
-        .prop_map(|(cells_merged, nodes, forensics, spans, profile)| {
+        .prop_map(|(cells_merged, nodes, forensics, spans)| {
             let mut s = NetScopeSnapshot {
                 cells_merged,
                 drop_causes: causes(),
@@ -306,7 +252,6 @@ fn snapshot() -> impl Strategy<Value = NetScopeSnapshot> {
                 forensics,
                 spans,
                 frozen: None,
-                profile,
             };
             // Producers hand over canonically sorted records; generated
             // snapshots must honor the same precondition.
@@ -329,7 +274,7 @@ proptest! {
     })]
 
     /// Merge is a commutative, associative fold: any partition of the
-    /// per-LP (or per-cell) partials, merged in any order, serializes
+    /// per-cell partials, merged in any order, serializes
     /// to the same bytes. `NET_DROP_CAUSES` pins the census width the
     /// generated counters rely on.
     #[test]

@@ -21,13 +21,11 @@
 //!   transitions,
 //! * a forced conservation-ledger violation demonstrating the
 //!   flight-recorder freeze riding in the snapshot, and
-//! * a second run on 2 sim threads to show the **PDES engine
-//!   profiler** (per-LP load, barrier stalls, lookahead distribution)
-//!   in the non-deterministic `profile` section.
+//! * a second run on another seed whose snapshot merges into the
+//!   first, the way a sweep folds its cells.
 //!
-//! Telemetry observes without steering: the deterministic snapshot
-//! section is byte-identical at any `--sim-threads`, and the
-//! simulation results are byte-identical with collection off.
+//! Telemetry observes without steering: the simulation results are
+//! byte-identical with collection off.
 
 use dra::core::handle::ArchKind;
 use dra::router::components::ComponentKind;
@@ -192,39 +190,21 @@ fn main() {
         report.trace.len()
     );
 
-    // Parallel run: same deterministic section, plus the engine
-    // profiler in the non-deterministic `profile` section.
-    let mut par = build();
-    par.cfg.sim_threads = 2;
-    par.enable_net_telemetry(16);
-    let mut par = par.run(2026, HORIZON_S);
-    let mut merged = report.snapshot;
-    let preport = par
+    // A second run on another seed: snapshots from different
+    // cells/runs merge associatively.
+    let mut other = build();
+    other.enable_net_telemetry(16);
+    let mut other = other.run(2027, HORIZON_S);
+    let oreport = other
         .export_net_telemetry(HORIZON_S, 4096, 1 << 40)
         .expect("collector was enabled");
-    if let Some(p) = &preport.snapshot.profile {
-        println!(
-            "\nPDES profiler ({} threads): {} windows ({} busy), {} cross msgs",
-            p.threads, p.windows, p.nonempty_windows, p.cross_messages
-        );
-        println!(
-            "  wall {:.3} ms, barrier stall {:.3} ms, load imbalance {:.2}x",
-            p.wall_ns as f64 / 1e6,
-            p.barrier_wait_ns as f64 / 1e6,
-            p.load_imbalance()
-        );
-        println!("  per-LP events: {:?}", p.lp_events);
-        println!(
-            "  lookahead: min {:.1} us / mean {:.1} us / max {:.1} us",
-            p.lookahead_min_s * 1e6,
-            p.lookahead_sum_s / p.lookahead_lps.max(1) as f64 * 1e6,
-            p.lookahead_max_s * 1e6
-        );
-    }
-
-    // Snapshots from different cells/runs merge associatively.
-    merged.merge(&preport.snapshot);
+    let mut merged = report.snapshot;
+    merged.merge(&oreport.snapshot);
     std::fs::write(&snap_path, merged.to_json_string()).expect("write snapshot");
-    println!("\nwrote merged dra-topo-telemetry/v1 snapshot to {snap_path}");
+    println!(
+        "\nwrote merged {} snapshot ({} runs) to {snap_path}",
+        tm::NET_SNAPSHOT_FORMAT,
+        merged.cells_merged
+    );
     tm::disable();
 }
