@@ -14,11 +14,12 @@
 //!   rebuild-from-store path survives as
 //!   [`StrideFib::remove_via_rebuild`], the oracle for the
 //!   incremental one).
-//! * [`Dir248Fib`] — a DIR-24-8-style compiled table: one flat
-//!   2^24-entry array indexed by the top 24 address bits plus 256-entry
-//!   spill blocks for /25–/32 routes. One or two loads per lookup, a
-//!   batched [`Dir248Fib::lookup_batch`] API for the ingress hot path,
-//!   and *incremental* updates. This is what the simulators' linecards
+//! * [`Dir248Fib`] — a DIR-24-8-style compiled table: a flat array
+//!   indexed by the top 24 address bits, sized to the window of /24s
+//!   its routes touch, plus 256-entry spill blocks for /25–/32 routes.
+//!   One or two loads per lookup, a batched
+//!   [`Dir248Fib::lookup_batch`] API for the ingress hot path, and
+//!   *incremental* updates. This is what the simulators' linecards
 //!   run.
 //!
 //! Next hops are `u16` egress linecard indices — all the router
@@ -406,15 +407,15 @@ const DIR_PAYLOAD: u32 = (1 << 24) - 1;
 const DIR_PLEN_SHIFT: u32 = 16;
 /// Routes this long or shorter live in the 256-entry `/8` table.
 const SHORT_MAX_LEN: u8 = 8;
-/// Routes up to this length live in the 2^24 base array.
+/// Routes up to this length live in the base array.
 const BASE_MAX_LEN: u8 = 24;
+/// Size of the /24 index space the base window lives in.
+const BASE_SPACE: usize = 1 << BASE_MAX_LEN;
 
-/// Spill-block budget: the same bounded-preallocation discipline the
-/// fabric applies to its 4M-cell arena. 2^16 blocks (one per /24 that
-/// holds a route longer than /24) caps spill memory at 64 MiB — far
-/// beyond any table the simulators or benches build, and hit only by a
-/// hostile workload, which should fail loudly rather than grow without
-/// bound.
+/// Spill-block budget. 2^16 blocks (one per /24 that holds a route
+/// longer than /24) caps spill memory at 64 MiB — far beyond any table
+/// the simulators or benches build, and hit only by a hostile
+/// workload, which should fail loudly rather than grow without bound.
 const DIR248_SPILL_BUDGET_BLOCKS: usize = 1 << 16;
 
 #[inline]
@@ -446,10 +447,15 @@ struct SpillBlock {
 /// Layout (the classic hardware split, scaled to this simulator's /32
 /// IPv4 space):
 ///
-/// * `base` — 2^24 `u32` entries indexed by the top 24 address bits.
-///   An entry is either empty, a packed `(next_hop, prefix_len)` for
-///   the best route of length 9–24 covering that /24, or a pointer to
-///   a spill block.
+/// * `base` — `u32` entries indexed by the top 24 address bits, held
+///   as a contiguous window `[base_lo, base_lo + base.len())` of the
+///   2^24 /24 indices. An entry is either empty, a packed
+///   `(next_hop, prefix_len)` for the best route of length 9–24
+///   covering that /24, or a pointer to a spill block. The window
+///   starts empty and grows (at least doubling, clamped to the index
+///   space) when an insert lands outside it; a /24 outside the window
+///   reads as an empty entry. A table that spans the whole space ends
+///   up with the full 2^24-entry array.
 /// * spill blocks — 256 entries indexed by the low byte, for /24s that
 ///   contain at least one route longer than /24. Blocks come from an
 ///   indexed arena with a LIFO freelist (the fabric's cell-arena
@@ -468,12 +474,14 @@ struct SpillBlock {
 /// length (≤ 32 hash probes). No rebuild, ever — route churn while
 /// traffic flows is exactly the regime the faceoff campaigns simulate.
 ///
-/// A lookup is one or two dependent loads ([`Dir248Fib::lookup_batch`]
-/// overlaps them across independent addresses); the base array is
-/// allocated zeroed so untouched /24 pages stay unmapped copy-on-write
-/// zero pages and cost no resident memory.
+/// A lookup is one bounds compare plus one or two dependent loads
+/// ([`Dir248Fib::lookup_batch`] overlaps them across independent
+/// addresses). Memory follows the routes: a table of N consecutive
+/// /24s (the network layer's per-node tables) holds an N-entry window.
 pub struct Dir248Fib {
     base: Vec<u32>,
+    /// /24 index of `base[0]`.
+    base_lo: u32,
     short8: Box<[u32; 256]>,
     spill: Vec<SpillBlock>,
     spill_free: Vec<u32>,
@@ -502,11 +510,12 @@ impl std::fmt::Debug for Dir248Fib {
 }
 
 impl Dir248Fib {
-    /// Empty table. The 64 MiB base array is requested zeroed, so the
-    /// kernel lends zero pages until a /24 is actually written.
+    /// Empty table. Nothing is reserved for the base array until a
+    /// route of length 9–32 is inserted.
     pub fn new() -> Self {
         Dir248Fib {
-            base: vec![0u32; 1 << 24],
+            base: Vec::new(),
+            base_lo: 0,
             short8: Box::new([0u32; 256]),
             spill: Vec::new(),
             spill_free: Vec::new(),
@@ -523,13 +532,12 @@ impl Dir248Fib {
         self.generation
     }
 
-    /// Bytes committed to the compiled table: the base array, the
+    /// Bytes allocated for the compiled table: the base window, the
     /// spill arena (live + free-listed blocks), the short-route table,
-    /// and an estimate of the store's footprint. The accounting mirrors
-    /// the fabric arena's budget discipline; spill growth is capped by
-    /// [`DIR248_SPILL_BUDGET_BLOCKS`].
+    /// and an estimate of the store's footprint. Spill growth is
+    /// capped by [`DIR248_SPILL_BUDGET_BLOCKS`].
     pub fn memory_bytes(&self) -> usize {
-        self.base.len() * std::mem::size_of::<u32>()
+        self.base.capacity() * std::mem::size_of::<u32>()
             + self.spill.capacity() * std::mem::size_of::<SpillBlock>()
             + self.spill_free.capacity() * std::mem::size_of::<u32>()
             + std::mem::size_of::<[u32; 256]>()
@@ -553,6 +561,49 @@ impl Dir248Fib {
         0
     }
 
+    /// Grow the base window to cover /24 indices `[first, end)`: at
+    /// least doubling, clamped to the index space, extending toward the
+    /// side that needs it. Entries are copied as-is — spill pointers
+    /// index the spill arena, not the window, so they stay valid.
+    fn cover(&mut self, first: usize, end: usize) {
+        let lo = self.base_lo as usize;
+        let hi = lo + self.base.len();
+        if self.base.is_empty() {
+            self.base = vec![0; end - first];
+            self.base_lo = first as u32;
+            return;
+        }
+        if first >= lo && end <= hi {
+            return;
+        }
+        let (want_lo, want_hi) = (first.min(lo), end.max(hi));
+        let len = (want_hi - want_lo).max(2 * self.base.len()).min(BASE_SPACE);
+        let new_lo = if first < lo {
+            want_hi.saturating_sub(len)
+        } else {
+            want_lo.min(BASE_SPACE - len)
+        };
+        let mut base = vec![0; len];
+        base[lo - new_lo..hi - new_lo].copy_from_slice(&self.base);
+        self.base = base;
+        self.base_lo = new_lo as u32;
+    }
+
+    /// Base entry for /24 index `bi`; empty outside the window.
+    #[inline]
+    fn base_entry(&self, bi: u32) -> u32 {
+        self.base
+            .get(bi.wrapping_sub(self.base_lo) as usize)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Mutable base entry for a /24 index inside the window.
+    #[inline]
+    fn base_mut(&mut self, bi: usize) -> &mut u32 {
+        &mut self.base[bi - self.base_lo as usize]
+    }
+
     /// Overwrite `e` if the new route wins (empty entries lose to
     /// anything; equal lengths mean replacement of the same route).
     #[inline]
@@ -566,7 +617,8 @@ impl Dir248Fib {
     /// seeding a fresh block with the current direct entry (every
     /// route of length ≤ 24 covers the whole /24 uniformly).
     fn ensure_spill(&mut self, bi: usize) -> usize {
-        let e = self.base[bi];
+        self.cover(bi, bi + 1);
+        let e = *self.base_mut(bi);
         if e & DIR_SPILL != 0 {
             return (e & DIR_PAYLOAD) as usize;
         }
@@ -588,13 +640,13 @@ impl Dir248Fib {
                 self.spill.len() - 1
             }
         };
-        self.base[bi] = DIR_SPILL | idx as u32;
+        *self.base_mut(bi) = DIR_SPILL | idx as u32;
         idx
     }
 
     #[inline]
     fn lookup_entry(&self, addr: u32) -> u32 {
-        let e = self.base[(addr >> 8) as usize];
+        let e = self.base_entry(addr >> 8);
         let e = if e & DIR_SPILL != 0 {
             self.spill[(e & DIR_PAYLOAD) as usize].entries[(addr & 0xFF) as usize]
         } else {
@@ -628,7 +680,7 @@ impl Dir248Fib {
             // can issue together), then resolve spill/short fallbacks.
             let mut first = [0u32; LANES];
             for (f, addr) in first.iter_mut().zip(a) {
-                *f = self.base[(addr.0 >> 8) as usize];
+                *f = self.base_entry(addr.0 >> 8);
             }
             for ((&f, addr), slot) in first.iter().zip(a).zip(o.iter_mut()) {
                 let e = if f & DIR_SPILL != 0 {
@@ -666,17 +718,18 @@ impl Fib for Dir248Fib {
         } else if len <= BASE_MAX_LEN {
             let start = (prefix.addr().0 >> 8) as usize;
             let span = 1usize << (BASE_MAX_LEN - len);
-            for bi in start..start + span {
-                let e = self.base[bi];
-                if e & DIR_SPILL != 0 {
+            self.cover(start, start + span);
+            let lo = self.base_lo as usize;
+            for e in &mut self.base[start - lo..start - lo + span] {
+                if *e & DIR_SPILL != 0 {
                     // The /24 is expanded: the route covers all of it,
                     // so it competes inside every spill entry.
-                    let block = &mut self.spill[(e & DIR_PAYLOAD) as usize];
+                    let block = &mut self.spill[(*e & DIR_PAYLOAD) as usize];
                     for s in block.entries.iter_mut() {
                         Self::expand_into(s, encoded, len);
                     }
                 } else {
-                    Self::expand_into(&mut self.base[bi], encoded, len);
+                    Self::expand_into(e, encoded, len);
                 }
             }
         } else {
@@ -714,26 +767,27 @@ impl Fib for Dir248Fib {
             // were backfilled with replacements of at least our length
             // when they went away). Ancestors shorter than 9 bits live
             // in the short table, so the backfill floor is 9.
+            // The insert grew the window over the route's range, and
+            // the window never shrinks.
             let repl = self.ancestor_entry(prefix, SHORT_MAX_LEN + 1);
-            let start = (prefix.addr().0 >> 8) as usize;
+            let start = (prefix.addr().0 >> 8) as usize - self.base_lo as usize;
             let span = 1usize << (BASE_MAX_LEN - len);
-            for bi in start..start + span {
-                let e = self.base[bi];
-                if e & DIR_SPILL != 0 {
-                    let block = &mut self.spill[(e & DIR_PAYLOAD) as usize];
+            for e in &mut self.base[start..start + span] {
+                if *e & DIR_SPILL != 0 {
+                    let block = &mut self.spill[(*e & DIR_PAYLOAD) as usize];
                     for s in block.entries.iter_mut() {
                         if *s & DIR_VALID != 0 && dir_plen(*s) == len {
                             *s = repl;
                         }
                     }
-                } else if e & DIR_VALID != 0 && dir_plen(e) == len {
-                    self.base[bi] = repl;
+                } else if *e & DIR_VALID != 0 && dir_plen(*e) == len {
+                    *e = repl;
                 }
             }
         } else {
             let repl = self.ancestor_entry(prefix, SHORT_MAX_LEN + 1);
             let bi = (prefix.addr().0 >> 8) as usize;
-            let e = self.base[bi];
+            let e = *self.base_mut(bi);
             debug_assert!(e & DIR_SPILL != 0, "long route without a spill block");
             let idx = (e & DIR_PAYLOAD) as usize;
             let start = (prefix.addr().0 & 0xFF) as usize;
@@ -750,7 +804,7 @@ impl Fib for Dir248Fib {
                 // this /24 covers it uniformly — collapse back to a
                 // direct entry and recycle the block.
                 let covering = Ipv4Prefix::new(prefix.addr(), BASE_MAX_LEN + 1);
-                self.base[bi] = self.ancestor_entry(covering, SHORT_MAX_LEN + 1);
+                *self.base_mut(bi) = self.ancestor_entry(covering, SHORT_MAX_LEN + 1);
                 self.spill_free.push(idx as u32);
             }
         }
@@ -942,9 +996,67 @@ mod tests {
     fn dir248_memory_accounting_is_sane() {
         let mut fib = Dir248Fib::new();
         let empty = fib.memory_bytes();
-        assert!(empty >= (1 << 24) * 4, "base array must be accounted");
+        assert!(empty < 4 << 10, "empty table accounts {empty} B");
         fib.insert(pfx("10.20.30.40/32"), 1);
         assert!(fib.memory_bytes() > empty, "spill block must be accounted");
+
+        // Five /16s: the outer two size the window exactly (growing it
+        // downward), the inner three land inside it.
+        let mut fib = Dir248Fib::new();
+        for o in [4, 0, 1, 2, 3] {
+            fib.insert(pfx(&format!("10.{o}.0.0/16")), o);
+        }
+        assert_eq!(fib.base.len(), 5 * 256, "five /16s span 1280 /24s");
+        let bytes = fib.memory_bytes();
+        assert!(
+            (5 << 10..7 << 10).contains(&bytes),
+            "five /16s account {bytes} B"
+        );
+
+        // A topo-style table: one /24 per node, 1024 nodes.
+        let mut fib = Dir248Fib::new();
+        for node in 0u32..1024 {
+            let addr = Ipv4Addr((10 << 24) | (node << 8));
+            fib.insert(Ipv4Prefix::new(addr, 24), (node % 7) as u16);
+        }
+        let bytes = fib.memory_bytes();
+        assert!(bytes <= 64 << 10, "1024 /24s account {bytes} B");
+
+        // A /9 spans 2^15 /24s.
+        let mut fib = Dir248Fib::new();
+        fib.insert(pfx("10.128.0.0/9"), 1);
+        assert_eq!(fib.base.len(), 1 << 15);
+    }
+
+    #[test]
+    fn dir248_window_grows_both_ways_and_keeps_spills() {
+        let mut fib = Dir248Fib::new();
+        fib.insert(pfx("10.20.30.128/25"), 1);
+        assert_eq!((fib.base_lo, fib.base.len()), (0x0A141E, 1));
+        // Outside the window: empty base, falls through to short8.
+        assert_eq!(fib.lookup(ip("10.20.31.1")), None);
+        fib.insert(pfx("10.0.0.0/8"), 9);
+        assert_eq!(fib.lookup(ip("10.20.31.1")), Some(9));
+        // Upward, then downward growth; the spill pointer survives both
+        // copies.
+        fib.insert(pfx("10.20.31.0/24"), 2);
+        fib.insert(pfx("10.20.29.0/24"), 3);
+        assert_eq!(fib.base.len(), 4, "doubling, not exact fit");
+        assert_eq!(fib.lookup(ip("10.20.30.129")), Some(1));
+        assert_eq!(fib.lookup(ip("10.20.30.1")), Some(9));
+        assert_eq!(fib.lookup(ip("10.20.31.1")), Some(2));
+        assert_eq!(fib.lookup(ip("10.20.29.1")), Some(3));
+        // Both ends of the index space clamp the window.
+        fib.insert(pfx("255.255.255.0/24"), 4);
+        fib.insert(pfx("0.0.0.0/24"), 5);
+        assert_eq!(fib.base.len(), BASE_SPACE);
+        assert_eq!(fib.base_lo, 0);
+        assert_eq!(fib.lookup(ip("255.255.255.255")), Some(4));
+        assert_eq!(fib.lookup(ip("0.0.0.7")), Some(5));
+        assert_eq!(fib.lookup(ip("10.20.30.129")), Some(1));
+        assert_eq!(fib.remove(pfx("10.20.30.128/25")), Some(1));
+        assert_eq!(fib.spill_blocks(), 0);
+        assert_eq!(fib.lookup(ip("10.20.30.129")), Some(9));
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! so /25–/32 routes pile into shared /24 blocks (spill sharing and
 //! collapse), and the length distribution is biased toward the
 //! spill range and includes /0 (default-route shadowing).
+//!
+//! A second proptest checks `Dir248Fib` alone against the oracle over
+//! a pool anchored at both ends of the /24 index space and in the
+//! middle, so its base window grows downward and upward while spill
+//! blocks are live, then drains the table back to empty.
 
 use dra_net::addr::{Ipv4Addr, Ipv4Prefix};
 use dra_net::fib::{Dir248Fib, Fib, LinearFib, StrideFib, TrieFib};
@@ -120,6 +125,96 @@ proptest! {
             prop_assert_eq!(stride.lookup(addr), expect, "stride sweep {}", addr);
             prop_assert_eq!(dir.lookup(addr), expect, "dir248 sweep {}", addr);
             prop_assert_eq!(got, expect, "dir248 batched sweep {}", addr);
+        }
+    }
+}
+
+/// A route near one of three /24 anchors: the bottom and the top of
+/// the 2^24 index space, and a cluster in the middle. Churn over such
+/// a pool grows `Dir248Fib`'s base window downward and upward, and a
+/// route at both ends makes it span the whole space.
+fn window_prefix_strategy() -> impl Strategy<Value = Ipv4Prefix> {
+    let anchor = prop_oneof![
+        Just(0u32),
+        Just((1u32 << 24) - 1),
+        0x0A_0000u32..0x0A_0040,
+        0x0A_0000u32..0x0A_0040,
+    ];
+    let len = prop_oneof![9u8..=24, 25u8..=32, 25u8..=32];
+    (anchor, any::<u8>(), len)
+        .prop_map(|(bi, low, len)| Ipv4Prefix::new(Ipv4Addr(bi << 8 | low as u32), len))
+}
+
+/// /25–/32 routes in the middle cluster, installed before the churn so
+/// spill blocks are live while the window grows around them.
+fn spill_seed_strategy() -> impl Strategy<Value = Vec<Ipv4Prefix>> {
+    proptest::collection::vec(
+        (0x0A_0010u32..0x0A_0030, any::<u8>(), 25u8..=32)
+            .prop_map(|(bi, low, len)| Ipv4Prefix::new(Ipv4Addr(bi << 8 | low as u32), len)),
+        1..4,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn dir248_window_growth_agrees_with_linear(
+        seed in spill_seed_strategy(),
+        pool in proptest::collection::vec(window_prefix_strategy(), 4..24),
+        ops in ops_strategy(),
+        probes in proptest::collection::vec(any::<u32>(), 24),
+    ) {
+        let mut lin = LinearFib::new();
+        let mut dir = Dir248Fib::new();
+        for (nh, &p) in seed.iter().enumerate() {
+            prop_assert_eq!(dir.insert(p, nh as u16), lin.insert(p, nh as u16));
+        }
+        for op in &ops {
+            match *op {
+                Op::Insert(raw, nh) => {
+                    let p = pool[raw % pool.len()];
+                    prop_assert_eq!(dir.insert(p, nh), lin.insert(p, nh), "insert {}", p);
+                }
+                Op::Remove(raw) => {
+                    let p = pool[raw % pool.len()];
+                    prop_assert_eq!(dir.remove(p), lin.remove(p), "remove {}", p);
+                }
+                Op::Lookup(a) => {
+                    let addr = Ipv4Addr(a);
+                    prop_assert_eq!(dir.lookup(addr), lin.lookup(addr), "lookup {}", addr);
+                }
+            }
+        }
+
+        // Route addresses, the last host of their /24, the neighbouring
+        // /24s on either side (just outside a narrow window), both ends
+        // of the address space, and arbitrary probes.
+        let mut sweep: Vec<Ipv4Addr> = vec![Ipv4Addr(0), Ipv4Addr(u32::MAX)];
+        for p in seed.iter().chain(&pool) {
+            let a = p.addr().0;
+            for probe in [a, a | 0xFF, a.wrapping_sub(256), a.wrapping_add(256)] {
+                sweep.push(Ipv4Addr(probe));
+            }
+        }
+        sweep.extend(probes.iter().map(|&a| Ipv4Addr(a)));
+        let mut batched = vec![None; sweep.len()];
+        dir.lookup_batch(&sweep, &mut batched);
+        for (&addr, &got) in sweep.iter().zip(&batched) {
+            let expect = lin.lookup(addr);
+            prop_assert_eq!(dir.lookup(addr), expect, "sweep {}", addr);
+            prop_assert_eq!(got, expect, "batched sweep {}", addr);
+        }
+
+        // Withdraw everything: the table empties, every spill block
+        // collapses, and nothing inside or outside the window matches.
+        for &p in seed.iter().chain(&pool) {
+            prop_assert_eq!(dir.remove(p), lin.remove(p), "drain {}", p);
+        }
+        prop_assert!(dir.is_empty());
+        prop_assert_eq!(dir.spill_blocks(), 0);
+        for &addr in &sweep {
+            prop_assert_eq!(dir.lookup(addr), None, "drained lookup {}", addr);
         }
     }
 }

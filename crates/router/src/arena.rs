@@ -39,21 +39,13 @@ impl CellHandle {
 /// `alloc` pops the freelist (or extends the slab while warming up to
 /// the high-water mark), `take` copies the cell out and pushes the
 /// slot back. Both are O(1); steady state performs no allocation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CellArena {
     slots: Vec<Cell>,
     free: Vec<u32>,
 }
 
 impl CellArena {
-    /// An arena with room for `capacity` cells before any slab growth.
-    pub fn with_capacity(capacity: usize) -> Self {
-        CellArena {
-            slots: Vec::with_capacity(capacity),
-            free: Vec::new(),
-        }
-    }
-
     /// Cells currently resident.
     pub fn len(&self) -> usize {
         self.slots.len() - self.free.len()
@@ -118,7 +110,7 @@ mod tests {
 
     #[test]
     fn alloc_take_roundtrip() {
-        let mut a = CellArena::with_capacity(4);
+        let mut a = CellArena::default();
         let h = a.alloc(cell(7));
         assert_eq!(a.len(), 1);
         assert_eq!(a.get(h).packet, PacketId(7));
@@ -128,10 +120,10 @@ mod tests {
 
     #[test]
     fn freelist_exhaustion_grows_then_recycles() {
-        // Exhaust the pre-sized slab, grow past it, then free
-        // everything and verify the freelist recycles slots instead of
-        // growing the slab further.
-        let mut a = CellArena::with_capacity(4);
+        // Grow the slab to a high-water mark, then free everything and
+        // verify the freelist recycles slots instead of growing the
+        // slab further.
+        let mut a = CellArena::default();
         let handles: Vec<CellHandle> = (0..10).map(|k| a.alloc(cell(k))).collect();
         assert_eq!(a.len(), 10);
         assert_eq!(a.slot_count(), 10, "slab grew to the high-water mark");
@@ -150,7 +142,7 @@ mod tests {
 
     #[test]
     fn interleaved_alloc_free_keeps_cells_apart() {
-        let mut a = CellArena::with_capacity(2);
+        let mut a = CellArena::default();
         let h1 = a.alloc(cell(1));
         let h2 = a.alloc(cell(2));
         a.take(h1);

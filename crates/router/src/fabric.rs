@@ -34,14 +34,6 @@ pub use crate::arena::{CellArena, CellHandle};
 use dra_net::sar::Cell;
 use std::collections::VecDeque;
 
-/// Up-front reservation cap, in cells, across a fabric's VOQs and
-/// arena. Queues are pre-sized so steady state at production configs
-/// (e.g. 64 cards × 1024-cell VOQs) never reallocates, while
-/// pathological `n² × voq_capacity` products (benchmarks passing
-/// "effectively unbounded" capacities) stay clamped to this budget
-/// and grow amortized past it instead of reserving gigabytes.
-const PRESIZE_BUDGET_CELLS: usize = 1 << 22;
-
 #[inline]
 fn words_for(n: usize) -> usize {
     n.div_ceil(64)
@@ -204,18 +196,14 @@ impl Crossbar {
         assert!(n_ports > 0 && voq_capacity > 0 && iterations > 0);
         assert!(planes_total >= planes_required && planes_required > 0);
         let words = words_for(n_ports);
-        let presize = voq_capacity
-            .min((PRESIZE_BUDGET_CELLS / (n_ports * n_ports)).max(16))
-            .max(1);
+        // Nothing is reserved up front: the arena and each VOQ grow
+        // amortized to the occupancy the traffic actually reaches, and
+        // steady state reuses that storage without allocating.
         Crossbar {
             n_ports,
             words,
-            arena: CellArena::with_capacity(
-                (n_ports * n_ports * presize).min(PRESIZE_BUDGET_CELLS),
-            ),
-            voq: (0..n_ports * n_ports)
-                .map(|_| VecDeque::with_capacity(presize))
-                .collect(),
+            arena: CellArena::default(),
+            voq: (0..n_ports * n_ports).map(|_| VecDeque::new()).collect(),
             voq_capacity,
             requests: vec![0; n_ports * words],
             grant_ptr: vec![0; n_ports],
@@ -579,15 +567,10 @@ impl OutputQueuedFabric {
     /// A fabric for `n_ports` with per-output queue `capacity`.
     pub fn new(n_ports: usize, capacity: usize) -> Self {
         assert!(n_ports > 0 && capacity > 0);
-        let presize = capacity
-            .min((PRESIZE_BUDGET_CELLS / n_ports).max(16))
-            .max(1);
         OutputQueuedFabric {
             n_ports,
-            arena: CellArena::with_capacity((n_ports * presize).min(PRESIZE_BUDGET_CELLS)),
-            queues: (0..n_ports)
-                .map(|_| VecDeque::with_capacity(presize))
-                .collect(),
+            arena: CellArena::default(),
+            queues: (0..n_ports).map(|_| VecDeque::new()).collect(),
             occupied: vec![0; words_for(n_ports)],
             capacity,
             queued: 0,

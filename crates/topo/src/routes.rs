@@ -8,9 +8,8 @@
 //! next-hop tables are then compiled into one [`Dir248Fib`] per node:
 //! the same flat lookup structure the single-router ingress path uses,
 //! so network-level forwarding exercises the production FIB code. The
-//! base array of an untouched DIR-24-8 is copy-on-write zero pages, so
-//! N per-node instances cost resident memory only for the prefixes
-//! actually inserted.
+//! node prefixes are consecutive /24s, so each FIB's base window holds
+//! N entries and N per-node instances cost O(N²) words in total.
 
 use crate::topology::Topology;
 use dra_net::addr::{Ipv4Addr, Ipv4Prefix};
