@@ -1,12 +1,12 @@
 //! FIB lookup throughput: the compiled DIR-24-8 table (scalar and
-//! batched, as the ingress path issues it) vs binary trie vs multibit
-//! stride vs the linear reference, on a synthetic Internet-like table.
+//! batched, as the ingress path issues it) vs binary trie vs the
+//! linear reference, on a synthetic Internet-like table.
 //! This is the LFE's hot path — and the cost a remote lookup (REQ_L)
 //! adds is one of these plus two control packets.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dra_net::addr::Ipv4Addr;
-use dra_net::fib::{synthetic_routes, Dir248Fib, Fib, LinearFib, StrideFib, TrieFib};
+use dra_net::fib::{synthetic_routes, Dir248Fib, Fib, LinearFib, TrieFib};
 
 fn build<F: Fib + Default>(routes: &[(dra_net::addr::Ipv4Prefix, u16)]) -> F {
     let mut fib = F::default();
@@ -34,7 +34,6 @@ fn bench(c: &mut Criterion) {
     let addrs = probes(1024);
 
     let trie: TrieFib = build(&routes);
-    let stride: StrideFib = build(&routes);
     let linear: LinearFib = build(&routes);
     let dir: Dir248Fib = build(&routes);
 
@@ -63,15 +62,6 @@ fn bench(c: &mut Criterion) {
                 .sum::<u64>()
         })
     });
-    g.bench_function(BenchmarkId::new("lookup_1k", "stride"), |b| {
-        b.iter(|| {
-            addrs
-                .iter()
-                .filter_map(|&a| stride.lookup(a))
-                .map(u64::from)
-                .sum::<u64>()
-        })
-    });
     // The linear scan is O(routes); bench on fewer probes.
     let few = &addrs[..16];
     g.bench_function(BenchmarkId::new("lookup_16", "linear"), |b| {
@@ -85,9 +75,6 @@ fn bench(c: &mut Criterion) {
 
     g.bench_function("trie_build_10k", |b| {
         b.iter(|| build::<TrieFib>(&routes).len())
-    });
-    g.bench_function("stride_build_10k", |b| {
-        b.iter(|| build::<StrideFib>(&routes).len())
     });
     g.bench_function("dir248_build_10k", |b| {
         b.iter(|| build::<Dir248Fib>(&routes).len())

@@ -60,7 +60,7 @@ fn usage() -> ! {
          --telemetry-out  write the merged snapshot to a separate file\n\
          \x20               (artifact stays byte-identical)\n\
          --trace          write a Perfetto-loadable Chrome trace JSON\n\
-         (the last three need a build with --features telemetry)"
+         (collection runs only when one of the last three is given)"
     );
     std::process::exit(2);
 }

@@ -61,15 +61,16 @@ pub struct RunOptions {
     /// change the artifact.
     pub progress: bool,
     /// Embed the merged `dra-telemetry/v1` snapshot as a `telemetry`
-    /// section in the artifact. Requires the `telemetry` feature.
+    /// section in the artifact. This and the next two fields are the
+    /// only switches that arm collection; with all three unset no hub
+    /// is armed and the hooks skip their work.
     pub telemetry: bool,
     /// Write the merged `dra-telemetry/v1` snapshot to this path as a
     /// standalone file, leaving the artifact byte-identical to a run
-    /// without telemetry. Requires the `telemetry` feature.
+    /// without telemetry.
     pub telemetry_out: Option<PathBuf>,
     /// Write a Chrome `trace_event` JSON (Perfetto-loadable) of the
-    /// sampled packet lifecycles to this path. Requires the
-    /// `telemetry` feature.
+    /// sampled packet lifecycles to this path.
     pub trace_out: Option<PathBuf>,
 }
 
@@ -113,14 +114,6 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> std::io::Result<CampaignOu
     let digest = spec.digest();
 
     let collect = opts.telemetry || opts.telemetry_out.is_some() || opts.trace_out.is_some();
-    #[cfg(not(feature = "telemetry"))]
-    if collect {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "telemetry output requested, but dra-campaign was built without \
-             the `telemetry` cargo feature (rebuild with --features telemetry)",
-        ));
-    }
 
     // Load checkpointed cells, if any.
     let ckpt_path = opts.out.as_ref().map(|p| checkpoint_path(p));
@@ -178,7 +171,6 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> std::io::Result<CampaignOu
     let heartbeat_total = pending.len();
     let heartbeat_done = std::sync::atomic::AtomicUsize::new(0);
     let heartbeat_start = std::time::Instant::now();
-    #[cfg(feature = "telemetry")]
     let collected: Mutex<
         Vec<(
             usize,
@@ -186,14 +178,12 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> std::io::Result<CampaignOu
             Vec<dra_telemetry::TraceEvent>,
         )>,
     > = Mutex::new(Vec::new());
-    #[cfg(feature = "telemetry")]
     let want_trace = opts.trace_out.is_some();
     let outcomes = pool.try_map(pending.clone(), |&i| {
         // A fresh hub per cell: per-cell snapshots merge in cell-index
         // order afterwards, so worker count and scheduling cannot
         // change the merged section. enable() also discards any state
         // a panicked previous cell left on this worker thread.
-        #[cfg(feature = "telemetry")]
         if collect {
             dra_telemetry::enable(dra_telemetry::Config {
                 collect_trace: want_trace,
@@ -201,7 +191,6 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> std::io::Result<CampaignOu
             });
         }
         let cell_json = run_cell(spec, i);
-        #[cfg(feature = "telemetry")]
         if collect {
             if let Some(snap) = dra_telemetry::snapshot() {
                 let trace = dra_telemetry::take_trace_events();
@@ -272,7 +261,6 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> std::io::Result<CampaignOu
     // (Snapshot::merge is commutative and associative, so any order
     // gives the same bytes; sorting makes that self-evident) and
     // route the result to the requested exporters.
-    #[cfg(feature = "telemetry")]
     let telemetry_section: Option<Json> = if collect {
         let mut cells_collected = collected.into_inner().expect("telemetry lock");
         cells_collected.sort_by_key(|&(i, _, _)| i);
@@ -310,14 +298,12 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> std::io::Result<CampaignOu
     };
 
     // All cells present: assemble, write atomically, drop checkpoint.
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
     let mut fields = vec![
         ("format", Json::Str(ARTIFACT_FORMAT.into())),
         ("digest", Json::Str(digest)),
         ("spec", spec.manifest()),
         ("cells", Json::Arr(done.into_values().collect())),
     ];
-    #[cfg(feature = "telemetry")]
     if opts.telemetry {
         if let Some(section) = telemetry_section {
             fields.push(("telemetry", section));
@@ -707,7 +693,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_section_embeds_and_validates() {
         let spec = spec(2, 1);
@@ -736,7 +721,6 @@ mod tests {
         assert!(arrivals > 0.0, "no arrivals counted");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_section_independent_of_worker_count() {
         let spec = spec(3, 1);
@@ -757,7 +741,6 @@ mod tests {
         assert_eq!(run_with(1), run_with(4));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn external_telemetry_leaves_artifact_identical() {
         let spec = spec(2, 1);

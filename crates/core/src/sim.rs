@@ -37,6 +37,7 @@ use dra_router::faults::Generations;
 use dra_router::ingress::ArrivalTrain;
 use dra_router::linecard::Linecard;
 use dra_router::metrics::{DropCause, RouterMetrics};
+use dra_telemetry as tm;
 use std::collections::HashMap;
 
 /// EIB parameters.
@@ -669,9 +670,8 @@ impl DraRouter {
         // The paper's B_prom scale-back realized as drops is the
         // anomaly the flight recorder is armed for: freeze the event
         // window at the first occurrence.
-        #[cfg(feature = "telemetry")]
         if cause == DropCause::EibOversubscribed {
-            dra_telemetry::anomaly("first eib-oversubscribed drop");
+            tm::anomaly("first eib-oversubscribed drop");
         }
     }
 
@@ -802,9 +802,7 @@ impl DraRouter {
             ctx.now(),
         );
         self.metrics.lcs[lc as usize].offer(packet.ip_bytes);
-        #[cfg(feature = "telemetry")]
-        {
-            use dra_telemetry as tm;
+        if tm::armed() {
             tm::counter_add(tm::ids::ARRIVALS, 1);
             tm::counter_add(tm::ids::FIB_LOOKUPS, 1);
             tm::event(
@@ -885,9 +883,7 @@ impl DraRouter {
         }
         self.latency_by_path[meta.path.index()].push(latency);
         self.latency_hist_by_path[meta.path.index()].record(latency);
-        #[cfg(feature = "telemetry")]
-        {
-            use dra_telemetry as tm;
+        if tm::armed() {
             tm::counter_add(tm::ids::DELIVERED, 1);
             tm::event(
                 tm::EventKind::Deliver,
@@ -988,9 +984,7 @@ impl DraRouter {
                 if overflow {
                     self.drop(&meta, DropCause::VoqOverflow);
                 } else {
-                    #[cfg(feature = "telemetry")]
-                    {
-                        use dra_telemetry as tm;
+                    if tm::armed() {
                         tm::counter_add(
                             tm::ids::VOQ_ENQUEUED_CELLS,
                             dra_net::sar::cells_for(meta.ip_bytes) as u64,
@@ -1071,9 +1065,7 @@ impl DraRouter {
         *busy = done;
         self.metrics.eib_packets += 1;
         self.metrics.eib_bytes += meta.ip_bytes as u64;
-        #[cfg(feature = "telemetry")]
-        {
-            use dra_telemetry as tm;
+        if tm::armed() {
             tm::counter_add(tm::ids::EIB_DETOURS, 1);
             tm::event(
                 tm::EventKind::EibDetour,
@@ -1114,8 +1106,7 @@ impl DraRouter {
         match self.control.attempt(ctx.now()) {
             TxResult::Started { tx, done_at } => {
                 self.metrics.eib_control_packets += 1;
-                #[cfg(feature = "telemetry")]
-                dra_telemetry::counter_add(dra_telemetry::ids::EIB_CONTROL_ATTEMPTS, 1);
+                tm::counter_add(tm::ids::EIB_CONTROL_ATTEMPTS, 1);
                 ctx.schedule(
                     done_at - ctx.now(),
                     DraEvent::ControlDone {
@@ -1143,8 +1134,7 @@ impl DraRouter {
             }
             TxResult::Collided { jam_until } => {
                 self.metrics.eib_collisions += 1;
-                #[cfg(feature = "telemetry")]
-                dra_telemetry::counter_add(dra_telemetry::ids::EIB_COLLISIONS, 1);
+                tm::counter_add(tm::ids::EIB_COLLISIONS, 1);
                 let backoff = self.control.backoff_delay(ctx.rng(), attempt + 1);
                 let wait = (jam_until - ctx.now()).max(0.0) + backoff + 1e-9;
                 ctx.schedule(
@@ -1244,9 +1234,7 @@ impl DraRouter {
             for &h in &slot {
                 let cell = self.fabric.take_cell(h);
                 let dst = cell.dst_lc;
-                #[cfg(feature = "telemetry")]
-                {
-                    use dra_telemetry as tm;
+                if tm::armed() {
                     tm::counter_add(tm::ids::CELLS_SWITCHED, 1);
                     tm::event(
                         tm::EventKind::FabricTransit,

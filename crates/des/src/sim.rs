@@ -61,7 +61,6 @@ impl<'a, E> Ctx<'a, E> {
         );
         let seq = *self.seq;
         *self.seq += 1;
-        #[cfg(feature = "telemetry")]
         dra_telemetry::des_scheduled();
         self.queue.push(self.now + delay, seq, event);
     }
@@ -75,7 +74,6 @@ impl<'a, E> Ctx<'a, E> {
         );
         let seq = *self.seq;
         *self.seq += 1;
-        #[cfg(feature = "telemetry")]
         dra_telemetry::des_scheduled();
         self.queue.push(at, seq, event);
     }
@@ -183,7 +181,6 @@ impl<M: Model> Simulation<M> {
         );
         let seq = self.seq;
         self.seq += 1;
-        #[cfg(feature = "telemetry")]
         dra_telemetry::des_scheduled();
         self.queue.push(self.now + delay, seq, event);
     }
@@ -197,7 +194,6 @@ impl<M: Model> Simulation<M> {
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
         self.events_processed += 1;
-        #[cfg(feature = "telemetry")]
         dra_telemetry::des_event(self.now, self.queue.len(), self.queue.bucket_count());
         let mut ctx = Ctx {
             now: self.now,
@@ -228,7 +224,6 @@ impl<M: Model> Simulation<M> {
             debug_assert!(time >= self.now, "time went backwards");
             self.now = time;
             self.events_processed += 1;
-            #[cfg(feature = "telemetry")]
             dra_telemetry::des_event(self.now, self.queue.len(), self.queue.bucket_count());
             let mut ctx = Ctx {
                 now: self.now,

@@ -1,19 +1,13 @@
 //! Longest-prefix-match forwarding tables (the LFE's core data
 //! structure).
 //!
-//! Four implementations behind the [`Fib`] trait:
+//! Three implementations behind the [`Fib`] trait:
 //!
 //! * [`LinearFib`] — the obviously-correct reference: a flat list
 //!   scanned for the longest covering prefix. Used as the oracle in
 //!   property tests and for tiny tables.
 //! * [`TrieFib`] — a binary trie, one bit per level. Updates are O(32);
 //!   retained as an executable spec of LPM semantics.
-//! * [`StrideFib`] — a multibit trie with 8-bit strides and controlled
-//!   prefix expansion; lookups touch at most four nodes. Removal
-//!   collapses only the affected stride subtree (the old
-//!   rebuild-from-store path survives as
-//!   [`StrideFib::remove_via_rebuild`], the oracle for the
-//!   incremental one).
 //! * [`Dir248Fib`] — a DIR-24-8-style compiled table: a flat array
 //!   indexed by the top 24 address bits, sized to the window of /24s
 //!   its routes touch, plus 256-entry spill blocks for /25–/32 routes.
@@ -193,203 +187,6 @@ impl Fib for TrieFib {
 
     fn len(&self) -> usize {
         self.len
-    }
-}
-
-// ---------------------------------------------------------------------------
-// StrideFib
-// ---------------------------------------------------------------------------
-
-/// One 8-bit-stride node: 256 expanded entries plus 256 child slots.
-struct StrideNode {
-    /// Best (longest) prefix terminating in this node for each byte
-    /// value, as `(next_hop, prefix_len)`.
-    entries: Vec<Option<(u16, u8)>>,
-    children: Vec<Option<Box<StrideNode>>>,
-}
-
-impl StrideNode {
-    fn new() -> Self {
-        StrideNode {
-            entries: vec![None; 256],
-            children: (0..256).map(|_| None).collect(),
-        }
-    }
-}
-
-impl std::fmt::Debug for StrideNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let filled = self.entries.iter().filter(|e| e.is_some()).count();
-        let kids = self.children.iter().filter(|c| c.is_some()).count();
-        write!(f, "StrideNode({filled} entries, {kids} children)")
-    }
-}
-
-/// Multibit trie with 8-bit strides and controlled prefix expansion.
-#[derive(Debug)]
-pub struct StrideFib {
-    root: StrideNode,
-    /// The authoritative route store; removal consults it for the
-    /// surviving ancestor that backfills un-expanded entries.
-    store: HashMap<Ipv4Prefix, u16>,
-    /// Next hop for the default route, which expands to "everything".
-    default_route: Option<u16>,
-}
-
-impl Default for StrideFib {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StrideFib {
-    /// Empty table.
-    pub fn new() -> Self {
-        StrideFib {
-            root: StrideNode::new(),
-            store: HashMap::new(),
-            default_route: None,
-        }
-    }
-
-    fn insert_into_trie(root: &mut StrideNode, prefix: Ipv4Prefix, next_hop: u16) {
-        debug_assert!(prefix.len() > 0, "default route handled separately");
-        let octets = prefix.addr().octets();
-        let mut node = root;
-        let mut depth = 0u8; // bits consumed
-        loop {
-            let byte = octets[(depth / 8) as usize] as usize;
-            let remaining = prefix.len() - depth;
-            if remaining <= 8 {
-                // Expand within this node: the prefix covers 2^(8-remaining)
-                // consecutive byte values.
-                let span = 1usize << (8 - remaining);
-                let base = byte & !(span - 1);
-                for e in &mut node.entries[base..base + span] {
-                    // Longer prefixes win; equal length means replacement.
-                    if e.is_none_or(|(_, plen)| plen <= prefix.len()) {
-                        *e = Some((next_hop, prefix.len()));
-                    }
-                }
-                return;
-            }
-            node = node.children[byte].get_or_insert_with(|| Box::new(StrideNode::new()));
-            depth += 8;
-        }
-    }
-
-    fn rebuild(&mut self) {
-        self.root = StrideNode::new();
-        for (&prefix, &nh) in &self.store {
-            if prefix.is_default() {
-                continue;
-            }
-            Self::insert_into_trie(&mut self.root, prefix, nh);
-        }
-    }
-
-    /// Remove a route by rebuilding the whole trie from the store —
-    /// the pre-incremental behaviour, retained as the executable spec
-    /// (and test oracle) for the subtree-collapsing [`Fib::remove`].
-    pub fn remove_via_rebuild(&mut self, prefix: Ipv4Prefix) -> Option<u16> {
-        let old = self.store.remove(&prefix)?;
-        if prefix.is_default() {
-            self.default_route = None;
-        } else {
-            self.rebuild();
-        }
-        Some(old)
-    }
-
-    /// Undo one route's expansion in its terminal node, walking only
-    /// the stride path (no rebuild). Entries the route owns (stored
-    /// length equals the removed length — equal-length prefixes are
-    /// disjoint, so nothing else can have written that length inside
-    /// this range) fall back to the longest surviving ancestor that
-    /// terminates in the same node. Returns true when `node` is empty
-    /// afterwards so the caller can prune the subtree.
-    fn remove_from_trie(
-        node: &mut StrideNode,
-        store: &HashMap<Ipv4Prefix, u16>,
-        prefix: Ipv4Prefix,
-        depth: u8,
-    ) -> bool {
-        let octets = prefix.addr().octets();
-        let byte = octets[(depth / 8) as usize] as usize;
-        let remaining = prefix.len() - depth;
-        if remaining <= 8 {
-            let span = 1usize << (8 - remaining);
-            let base = byte & !(span - 1);
-            // Longest ancestor terminating in this node: lengths
-            // (depth, prefix.len()) cover exactly the candidates that
-            // could replace the removed expansion here.
-            let mut repl = None;
-            for l in (depth + 1..prefix.len()).rev() {
-                if let Some(&nh) = store.get(&Ipv4Prefix::new(prefix.addr(), l)) {
-                    repl = Some((nh, l));
-                    break;
-                }
-            }
-            for e in &mut node.entries[base..base + span] {
-                if e.is_some_and(|(_, plen)| plen == prefix.len()) {
-                    *e = repl;
-                }
-            }
-        } else if let Some(child) = node.children[byte].as_mut() {
-            if Self::remove_from_trie(child, store, prefix, depth + 8) {
-                node.children[byte] = None;
-            }
-        }
-        node.entries.iter().all(Option::is_none) && node.children.iter().all(Option::is_none)
-    }
-}
-
-impl Fib for StrideFib {
-    fn insert(&mut self, prefix: Ipv4Prefix, next_hop: u16) -> Option<u16> {
-        let old = self.store.insert(prefix, next_hop);
-        if prefix.is_default() {
-            let prev = self.default_route.replace(next_hop);
-            return old.or(prev);
-        }
-        if old.is_some() {
-            // Replacing a route with the same length: the expansion rule
-            // `plen <= prefix.len()` overwrites stale entries in place.
-            Self::insert_into_trie(&mut self.root, prefix, next_hop);
-        } else {
-            Self::insert_into_trie(&mut self.root, prefix, next_hop);
-        }
-        old
-    }
-
-    fn remove(&mut self, prefix: Ipv4Prefix) -> Option<u16> {
-        let old = self.store.remove(&prefix)?;
-        if prefix.is_default() {
-            self.default_route = None;
-        } else {
-            Self::remove_from_trie(&mut self.root, &self.store, prefix, 0);
-        }
-        Some(old)
-    }
-
-    fn lookup(&self, addr: Ipv4Addr) -> Option<u16> {
-        let octets = addr.octets();
-        let mut best = self.default_route;
-        let mut node = &self.root;
-        for &byte in &octets {
-            let idx = byte as usize;
-            if let Some((nh, _)) = node.entries[idx] {
-                best = Some(nh);
-            }
-            match &node.children[idx] {
-                Some(child) => node = child,
-                None => break,
-            }
-        }
-        best
-    }
-
-    fn len(&self) -> usize {
-        self.store.len()
     }
 }
 
@@ -913,11 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn stride_scenario() {
-        scenario(&mut StrideFib::new());
-    }
-
-    #[test]
     fn dir248_scenario() {
         scenario(&mut Dir248Fib::new());
     }
@@ -926,7 +718,6 @@ mod tests {
     fn host_routes_work() {
         for fib in [
             &mut TrieFib::new() as &mut dyn Fib,
-            &mut StrideFib::new(),
             &mut LinearFib::new(),
             &mut Dir248Fib::new(),
         ] {
@@ -940,7 +731,6 @@ mod tests {
     fn sibling_prefixes_do_not_interfere() {
         for fib in [
             &mut TrieFib::new() as &mut dyn Fib,
-            &mut StrideFib::new(),
             &mut LinearFib::new(),
             &mut Dir248Fib::new(),
         ] {
@@ -1085,44 +875,6 @@ mod tests {
     }
 
     #[test]
-    fn stride_incremental_remove_matches_rebuild_oracle() {
-        // Drive the incremental removal against the retained
-        // rebuild-from-store path over a scripted churn sequence.
-        let routes = synthetic_routes(300, 8, 21);
-        let mut inc = StrideFib::new();
-        let mut oracle = StrideFib::new();
-        for &(p, nh) in &routes {
-            inc.insert(p, nh);
-            oracle.insert(p, nh);
-        }
-        let probes: Vec<Ipv4Addr> = routes.iter().map(|(p, _)| p.addr()).collect();
-        for (i, &(p, _)) in routes.iter().enumerate() {
-            if i % 3 == 0 {
-                assert_eq!(inc.remove(p), oracle.remove_via_rebuild(p));
-                for &a in &probes {
-                    assert_eq!(inc.lookup(a), oracle.lookup(a), "mismatch at {a}");
-                }
-            }
-        }
-        assert_eq!(inc.len(), oracle.len());
-    }
-
-    #[test]
-    fn stride_boundary_lengths() {
-        // Lengths exactly on stride boundaries (8, 16, 24, 32) exercise
-        // the expand-vs-descend decision.
-        let mut fib = StrideFib::new();
-        fib.insert(pfx("10.0.0.0/8"), 8);
-        fib.insert(pfx("10.20.0.0/16"), 16);
-        fib.insert(pfx("10.20.30.0/24"), 24);
-        fib.insert(pfx("10.20.30.40/32"), 32);
-        assert_eq!(fib.lookup(ip("10.20.30.40")), Some(32));
-        assert_eq!(fib.lookup(ip("10.20.30.41")), Some(24));
-        assert_eq!(fib.lookup(ip("10.20.31.1")), Some(16));
-        assert_eq!(fib.lookup(ip("10.21.0.1")), Some(8));
-    }
-
-    #[test]
     fn trie_prunes_on_remove() {
         let mut fib = TrieFib::new();
         fib.insert(pfx("10.20.30.0/24"), 1);
@@ -1156,29 +908,24 @@ mod tests {
         ) {
             let mut lin = LinearFib::new();
             let mut trie = TrieFib::new();
-            let mut stride = StrideFib::new();
             let mut dir = Dir248Fib::new();
             for &(p, nh) in &routes {
                 lin.insert(p, nh);
                 trie.insert(p, nh);
-                stride.insert(p, nh);
                 dir.insert(p, nh);
             }
             prop_assert_eq!(lin.len(), trie.len());
-            prop_assert_eq!(lin.len(), stride.len());
             prop_assert_eq!(lin.len(), dir.len());
             for &a in &probes {
                 let addr = Ipv4Addr(a);
                 let expect = lin.lookup(addr);
                 prop_assert_eq!(trie.lookup(addr), expect, "trie mismatch at {}", addr);
-                prop_assert_eq!(stride.lookup(addr), expect, "stride mismatch at {}", addr);
                 prop_assert_eq!(dir.lookup(addr), expect, "dir248 mismatch at {}", addr);
             }
             // Probe the route addresses themselves (guaranteed hits).
             for &(p, _) in &routes {
                 let expect = lin.lookup(p.addr());
                 prop_assert_eq!(trie.lookup(p.addr()), expect);
-                prop_assert_eq!(stride.lookup(p.addr()), expect);
                 prop_assert_eq!(dir.lookup(p.addr()), expect);
             }
         }
@@ -1191,33 +938,27 @@ mod tests {
         ) {
             let mut lin = LinearFib::new();
             let mut trie = TrieFib::new();
-            let mut stride = StrideFib::new();
             let mut dir = Dir248Fib::new();
             for &(p, nh) in &routes {
                 lin.insert(p, nh);
                 trie.insert(p, nh);
-                stride.insert(p, nh);
                 dir.insert(p, nh);
             }
             for (i, &(p, _)) in routes.iter().enumerate() {
                 if remove_mask[i % remove_mask.len()] {
                     let a = lin.remove(p);
                     let b = trie.remove(p);
-                    let c = stride.remove(p);
-                    let d = dir.remove(p);
+                    let c = dir.remove(p);
                     prop_assert_eq!(a, b);
                     prop_assert_eq!(a, c);
-                    prop_assert_eq!(a, d);
                 }
             }
             prop_assert_eq!(lin.len(), trie.len());
-            prop_assert_eq!(lin.len(), stride.len());
             prop_assert_eq!(lin.len(), dir.len());
             for &a in &probes {
                 let addr = Ipv4Addr(a);
                 let expect = lin.lookup(addr);
                 prop_assert_eq!(trie.lookup(addr), expect);
-                prop_assert_eq!(stride.lookup(addr), expect);
                 prop_assert_eq!(dir.lookup(addr), expect);
             }
         }

@@ -4,11 +4,11 @@
 //!
 //! * [`addr`] — IPv4 addresses and prefixes with the arithmetic the
 //!   FIBs need.
-//! * [`fib`] — two longest-prefix-match forwarding tables behind one
-//!   trait: a path-compressed binary trie and a multibit-stride table.
-//!   The LFE (local forwarding engine) of every linecard holds one, and
-//!   DRA's lookup-offload path (REQ_L/REP_L) performs the same lookup
-//!   on a remote linecard.
+//! * [`fib`] — longest-prefix-match forwarding tables behind one
+//!   trait: the DIR-24-8 table that the LFE (local forwarding engine)
+//!   of every linecard holds, a binary trie kept as an executable spec
+//!   of LPM semantics, and a linear-scan oracle. DRA's lookup-offload
+//!   path (REQ_L/REP_L) performs the same lookup on a remote linecard.
 //! * [`packet`] — simulation-level packets: sizes, protocol tags, and
 //!   timestamps rather than byte buffers.
 //! * [`protocol`] — L2 protocol engines (Ethernet, POS, ATM). These
@@ -34,6 +34,6 @@ pub mod trace;
 pub mod traffic;
 
 pub use addr::{Ipv4Addr, Ipv4Prefix};
-pub use fib::{Dir248Fib, Fib, StrideFib, TrieFib};
+pub use fib::{Dir248Fib, Fib, TrieFib};
 pub use packet::{Packet, PacketId, PortId};
 pub use protocol::{ProtocolEngine, ProtocolKind};

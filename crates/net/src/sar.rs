@@ -17,6 +17,7 @@
 //! the traffic models emit) with a heap spill only for totals > 128.
 
 use crate::packet::{Packet, PacketId};
+use dra_telemetry as tm;
 
 /// Payload bytes per fabric cell.
 pub const CELL_PAYLOAD: u32 = 48;
@@ -373,9 +374,7 @@ impl Reassembler {
         if slot.count == cell.total {
             let bytes = slot.bytes;
             self.release(bucket);
-            #[cfg(feature = "telemetry")]
-            {
-                use dra_telemetry as tm;
+            if tm::armed() {
                 tm::counter_add(tm::ids::PACKETS_REASSEMBLED, 1);
                 tm::event(
                     tm::EventKind::Reassembly,

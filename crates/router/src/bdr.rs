@@ -24,6 +24,7 @@ use dra_net::packet::{Packet, PacketId, PacketIdGen};
 use dra_net::protocol::ProtocolKind;
 use dra_net::sar::{segment_cells, CELL_BYTES};
 use dra_net::traffic::PoissonGen;
+use dra_telemetry as tm;
 use std::collections::HashMap;
 
 /// Configuration for a BDR simulation.
@@ -391,9 +392,7 @@ impl BdrRouter {
             ctx.now(),
         );
         self.metrics_of(lc).offer(packet.ip_bytes);
-        #[cfg(feature = "telemetry")]
-        {
-            use dra_telemetry as tm;
+        if tm::armed() {
             tm::counter_add(tm::ids::ARRIVALS, 1);
             tm::counter_add(tm::ids::FIB_LOOKUPS, 1);
             tm::event(
@@ -479,9 +478,7 @@ impl BdrRouter {
             // Any cells already enqueued will strand in the egress
             // reassembler and be reclaimed by the periodic purge.
         } else {
-            #[cfg(feature = "telemetry")]
-            {
-                use dra_telemetry as tm;
+            if tm::armed() {
                 tm::counter_add(
                     tm::ids::VOQ_ENQUEUED_CELLS,
                     dra_net::sar::cells_for(packet.ip_bytes) as u64,
@@ -530,9 +527,7 @@ impl BdrRouter {
             for &h in &slot {
                 let cell = self.fabric.take_cell(h);
                 let egress = cell.dst_lc;
-                #[cfg(feature = "telemetry")]
-                {
-                    use dra_telemetry as tm;
+                if tm::armed() {
                     tm::counter_add(tm::ids::CELLS_SWITCHED, 1);
                     tm::event(
                         tm::EventKind::FabricTransit,
@@ -660,10 +655,7 @@ impl Model for BdrRouter {
                 let now = ctx.now();
                 self.metrics.lcs[lc as usize].deliver(ip_bytes, now - arrived_at);
                 self.metrics.lcs[ingress as usize].ingress_delivered += 1;
-                let _ = packet;
-                #[cfg(feature = "telemetry")]
-                {
-                    use dra_telemetry as tm;
+                if tm::armed() {
                     tm::counter_add(tm::ids::DELIVERED, 1);
                     tm::event(tm::EventKind::Deliver, packet.0, lc as u32, ip_bytes);
                     tm::finish_packet(packet.0);

@@ -32,6 +32,7 @@
 
 pub use crate::arena::{CellArena, CellHandle};
 use dra_net::sar::Cell;
+use dra_telemetry as tm;
 use std::collections::VecDeque;
 
 #[inline]
@@ -496,9 +497,7 @@ impl Crossbar {
             let o = self.input_matched[input];
             if o != usize::MAX {
                 let h = self.pop_matched(input, o);
-                #[cfg(feature = "telemetry")]
-                {
-                    use dra_telemetry as tm;
+                if tm::armed() {
                     tm::counter_add(tm::ids::ISLIP_GRANTS, 1);
                     tm::event(
                         tm::EventKind::IslipGrant,

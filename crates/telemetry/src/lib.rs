@@ -15,10 +15,15 @@
 //! cannot change the merged bytes).
 //!
 //! Instrumented crates call the free functions in this module
-//! (`counter_add`, `event`, `mark_*`, …) behind their `telemetry`
-//! cargo feature. With the feature off the calls do not exist; with
-//! the feature on but no [`enable`] call, every function is a
-//! thread-local load + `None` check.
+//! (`counter_add`, `event`, `mark_*`, …) unconditionally; a run arms
+//! collection with [`enable`]. A process-wide count of live hubs
+//! gates every hook: while no thread has a hub armed, a hook is one
+//! `Relaxed` load and a not-taken branch, and the body that touches
+//! the thread-local hub sits out of line in a `#[cold]` function.
+//! (Without the gate each hook would borrow the thread-local
+//! `RefCell`; DESIGN.md §3.2 has the measured cost.) A thread with no
+//! hub still records nothing while another thread is armed: the gate
+//! only skips the thread-local lookup, it does not replace it.
 //!
 //! ## Determinism contract
 //!
@@ -50,6 +55,7 @@ pub use trace::{chrome_trace_json, TraceEvent};
 
 use lifecycle::Tracker;
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
 /// Handle to a registered counter (index into the hub's table).
@@ -194,8 +200,17 @@ struct Hub {
     trace_dropped: u64,
 }
 
+/// Hubs alive in the process, over all threads. Counted in
+/// [`Hub::new`] and `Drop`, so re-arming a thread, [`disable`], and a
+/// thread exiting with its hub armed all keep it exact. `Relaxed` is
+/// enough: a thread always sees its own increment, so a thread with a
+/// hub never reads 0; other threads at worst take the slow path once
+/// and find no hub of their own.
+static LIVE_HUBS: AtomicUsize = AtomicUsize::new(0);
+
 impl Hub {
     fn new(cfg: &Config) -> Self {
+        LIVE_HUBS.fetch_add(1, Ordering::Relaxed);
         Hub {
             now: 0.0,
             sample_every: cfg.sample_every,
@@ -229,6 +244,12 @@ impl Hub {
         } else {
             self.trace_dropped += 1;
         }
+    }
+}
+
+impl Drop for Hub {
+    fn drop(&mut self) {
+        LIVE_HUBS.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -274,11 +295,31 @@ pub fn disable() {
 
 /// Is telemetry enabled on this thread?
 pub fn enabled() -> bool {
-    HUB.with(|cell| cell.borrow().is_some())
+    with_hub(|_| ()).is_some()
 }
 
+/// Is a hub armed on any thread? One `Relaxed` load. Every hook checks
+/// this itself; a site that issues several hooks, or computes their
+/// arguments, checks it once around them so an unarmed run skips the
+/// whole block.
+#[inline]
+pub fn armed() -> bool {
+    LIVE_HUBS.load(Ordering::Relaxed) != 0
+}
+
+/// Run `f` on this thread's hub. While no hub is armed anywhere this
+/// is one `Relaxed` load; the thread-local lookup is out of line.
 #[inline]
 fn with_hub<R>(f: impl FnOnce(&mut Hub) -> R) -> Option<R> {
+    if !armed() {
+        return None;
+    }
+    with_local_hub(f)
+}
+
+#[cold]
+#[inline(never)]
+fn with_local_hub<R>(f: impl FnOnce(&mut Hub) -> R) -> Option<R> {
     HUB.with(|cell| cell.borrow_mut().as_mut().map(f))
 }
 
@@ -433,6 +474,7 @@ pub fn mark_eib_hop(packet: u64, start: f64, dur: f64) {
 
 /// Packet delivered: resolve its lifecycle into the latency
 /// decomposition histograms and (optionally) Chrome trace spans.
+#[inline]
 pub fn finish_packet(packet: u64) {
     with_hub(|h| {
         let now = h.now;
@@ -482,6 +524,7 @@ pub fn finish_packet(packet: u64) {
 /// Packet dropped: recorder event, drop counter, lifecycle cleanup,
 /// and an instant trace marker. `cause_name` should be the stable
 /// `DropCause` name; `cause_index` its index.
+#[inline]
 pub fn packet_dropped(packet: u64, cause_index: u32, lc: u32, cause_name: &'static str) {
     with_hub(|h| {
         let t = h.now;
@@ -527,6 +570,7 @@ fn drop_trace_name(cause_name: &str) -> &'static str {
 
 /// Trip the anomaly trigger: the first call freezes a copy of the
 /// flight-recorder window for the snapshot; later calls are no-ops.
+#[inline]
 pub fn anomaly(reason: &'static str) {
     with_hub(|h| {
         if h.anomaly.is_none() {
@@ -593,6 +637,18 @@ pub fn trace_dropped() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Tests that arm a hub run one at a time: the gate tests read the
+    /// process-wide hub count, which a concurrently armed test moves.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn live() -> usize {
+        LIVE_HUBS.load(Ordering::Relaxed)
+    }
 
     fn fresh(collect_trace: bool) -> Config {
         Config {
@@ -604,7 +660,62 @@ mod tests {
     }
 
     #[test]
+    fn gate_counts_each_thread_once_and_closes_on_disable() {
+        let _serial = serial();
+        assert_eq!(live(), 0);
+        enable(fresh(false));
+        assert_eq!(live(), 1);
+        enable(fresh(false));
+        assert_eq!(live(), 1, "re-arming a thread replaces its hub");
+        disable();
+        assert_eq!(live(), 0);
+        disable();
+        assert_eq!(live(), 0);
+    }
+
+    #[test]
+    fn gate_closes_when_an_armed_thread_exits() {
+        let _serial = serial();
+        std::thread::spawn(|| {
+            enable(fresh(false));
+            assert_eq!(live(), 1);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(live(), 0);
+    }
+
+    #[test]
+    fn unarmed_thread_records_nothing_while_another_is_armed() {
+        let _serial = serial();
+        enable(fresh(true));
+        std::thread::spawn(|| {
+            assert_eq!(live(), 1);
+            assert!(!enabled());
+            des_event(1.0, 1, 1);
+            counter_add(ids::ARRIVALS, 1);
+            track_arrival(7, 0, 64);
+            event(EventKind::Arrival, 7, 0, 64);
+            packet_dropped(7, 5, 0, "no-route");
+            anomaly("must not trip");
+            assert!(!sampled(0));
+            assert!(!anomaly_tripped());
+            assert!(snapshot().is_none());
+            assert!(take_trace_events().is_empty());
+        })
+        .join()
+        .unwrap();
+        let snap = snapshot().expect("this thread is armed");
+        assert!(snap.counters.iter().all(|&(_, v)| v == 0));
+        assert_eq!(snap.ring_appended, 0);
+        assert!(snap.anomaly.is_none());
+        assert!(take_trace_events().is_empty());
+        disable();
+    }
+
+    #[test]
     fn disabled_is_inert() {
+        let _serial = serial();
         disable();
         assert!(!enabled());
         counter_add(ids::ARRIVALS, 1);
@@ -615,6 +726,7 @@ mod tests {
 
     #[test]
     fn full_lifecycle_roundtrip() {
+        let _serial = serial();
         enable(fresh(true));
         des_event(1.0, 3, 4);
         counter_add(ids::ARRIVALS, 1);
@@ -647,6 +759,7 @@ mod tests {
 
     #[test]
     fn anomaly_freezes_ring_window() {
+        let _serial = serial();
         enable(fresh(false));
         for i in 0..20u64 {
             des_event(i as f64, 0, 0);
@@ -667,6 +780,7 @@ mod tests {
 
     #[test]
     fn registered_counters_appear_in_snapshot() {
+        let _serial = serial();
         enable(fresh(false));
         let id = register_counter("bench.iterations").unwrap();
         counter_add(id, 7);

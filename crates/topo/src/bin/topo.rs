@@ -49,10 +49,10 @@ fn usage() -> ! {
          --telemetry-out  write the merged dra-topo-telemetry/v2\n\
          \x20            network-scope snapshot (per-router counters,\n\
          \x20            fault forensics, sampled flow spans) to PATH;\n\
-         \x20            needs a binary built with `--features telemetry`\n\
+         \x20            the artifact stays byte-identical\n\
          --trace-out  write the sampled packets' multi-hop flow trace\n\
          \x20         as Chrome trace_event JSON to PATH (open at\n\
-         \x20         https://ui.perfetto.dev); same feature gate\n\
+         \x20         https://ui.perfetto.dev)\n\
          --dry-run   print the expanded grid (cells, axes, totals)\n\
          \x20         and exit without simulating\n\
          --check     validate an existing artifact (format, ordering,\n\

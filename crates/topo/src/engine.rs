@@ -46,12 +46,12 @@ pub struct TopoRunOptions {
     /// Suppress progress output.
     pub quiet: bool,
     /// Write the merged `dra-topo-telemetry/v2` network-scope snapshot
-    /// here (requires the `telemetry` cargo feature; collection turns
-    /// on iff this or `trace_out` is set). The snapshot is
-    /// byte-identical at any `workers`.
+    /// here. Collection runs iff this or `trace_out` is set, and never
+    /// changes the artifact; the snapshot is byte-identical at any
+    /// `workers`.
     pub telemetry_out: Option<PathBuf>,
     /// Write the Chrome `trace_event` flow trace of the sampled
-    /// packets here (requires the `telemetry` cargo feature).
+    /// packets here.
     pub trace_out: Option<PathBuf>,
 }
 
@@ -72,14 +72,6 @@ pub struct TopoOutcome {
 pub fn run(spec: &TopoSpec, opts: &TopoRunOptions) -> std::io::Result<TopoOutcome> {
     spec.validate();
     let collect = opts.telemetry_out.is_some() || opts.trace_out.is_some();
-    #[cfg(not(feature = "telemetry"))]
-    if collect {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "telemetry output requested, but dra-topo was built without the `telemetry` \
-             cargo feature (rebuild with `--features telemetry`)",
-        ));
-    }
     let digest = spec.digest();
     let pool = match opts.workers {
         Some(w) => WorkerPool::new(w),
@@ -101,21 +93,13 @@ pub fn run(spec: &TopoSpec, opts: &TopoRunOptions) -> std::io::Result<TopoOutcom
     let mut done: BTreeMap<u64, Json> = BTreeMap::new();
     // Per-cell telemetry, keyed by cell index: folding in index order
     // makes the merged snapshot worker-count invariant.
-    #[cfg(feature = "telemetry")]
-    let mut teles: BTreeMap<
-        u64,
-        Box<(
-            dra_telemetry::NetScopeSnapshot,
-            Vec<dra_telemetry::TraceEvent>,
-        )>,
-    > = BTreeMap::new();
+    let mut teles: BTreeMap<u64, CellTele> = BTreeMap::new();
     let mut failed = 0;
     for res in results {
         match res {
-            Ok((i, (cell, _tele))) => {
+            Ok((i, (cell, tele))) => {
                 done.insert(i as u64, cell);
-                #[cfg(feature = "telemetry")]
-                if let Some(t) = _tele {
+                if let Some(t) = tele {
                     teles.insert(i as u64, t);
                 }
             }
@@ -152,7 +136,6 @@ pub fn run(spec: &TopoSpec, opts: &TopoRunOptions) -> std::io::Result<TopoOutcom
             println!("wrote {} ({} bytes)", path.display(), text.len());
         }
     }
-    #[cfg(feature = "telemetry")]
     if collect {
         let mut snap: Option<dra_telemetry::NetScopeSnapshot> = None;
         let mut trace: Vec<dra_telemetry::TraceEvent> = Vec::new();
@@ -308,26 +291,18 @@ pub fn build_network(cell: &TopoCellSpec, master_seed: u64, replication: u32) ->
 /// Network-scope sampling density for CLI-driven collection: every
 /// 64th packet gets hop-resolved flow spans (counters and forensics
 /// are unsampled — they see everything).
-#[cfg(feature = "telemetry")]
 const TELEMETRY_SAMPLE_EVERY: u64 = 64;
 
 /// One cell's collected telemetry: the merged snapshot of its
 /// replications plus their concatenated flow-trace events.
-#[cfg(feature = "telemetry")]
-type CellTele = Option<
-    Box<(
-        dra_telemetry::NetScopeSnapshot,
-        Vec<dra_telemetry::TraceEvent>,
-    )>,
->;
-#[cfg(not(feature = "telemetry"))]
-type CellTele = ();
+type CellTele = Box<(
+    dra_telemetry::NetScopeSnapshot,
+    Vec<dra_telemetry::TraceEvent>,
+)>;
 
 /// Run every replication of one cell and reduce to its JSON record
 /// (plus, when `collect` is set, its telemetry).
-fn run_cell(spec: &TopoSpec, index: usize, collect: bool) -> (Json, CellTele) {
-    #[cfg(not(feature = "telemetry"))]
-    let _ = collect;
+fn run_cell(spec: &TopoSpec, index: usize, collect: bool) -> (Json, Option<CellTele>) {
     let cell = &spec.cells[index];
     let mut injected = 0u64;
     let mut delivered = 0u64;
@@ -338,23 +313,21 @@ fn run_cell(spec: &TopoSpec, index: usize, collect: bool) -> (Json, CellTele) {
     let mut latency = Welford::new();
     let mut hops = Welford::new();
     let (mut n_nodes, mut n_links) = (0, 0);
-    #[cfg(feature = "telemetry")]
-    let mut cell_tele: CellTele = None;
+    let mut cell_tele: Option<CellTele> = None;
     for rep in 0..cell.replications {
-        #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
         let mut net = build_network(cell, spec.master_seed, rep);
-        #[cfg(feature = "telemetry")]
         if collect {
             // The hub (flight-recorder ring + anomaly freeze) is
-            // thread-local: arm it on whichever pool worker runs this
-            // cell. Telemetry observes without steering, so the
-            // artifact bytes do not change.
-            if !dra_telemetry::enabled() {
-                dra_telemetry::enable(dra_telemetry::Config {
-                    sample_every: TELEMETRY_SAMPLE_EVERY,
-                    ..dra_telemetry::Config::default()
-                });
-            }
+            // thread-local: arm a fresh one on whichever pool worker
+            // runs this replication and disarm it after the export
+            // below, so no ring or anomaly state crosses replications
+            // and the gate closes when the sweep ends. Telemetry
+            // observes without steering, so the artifact bytes do not
+            // change.
+            dra_telemetry::enable(dra_telemetry::Config {
+                sample_every: TELEMETRY_SAMPLE_EVERY,
+                ..dra_telemetry::Config::default()
+            });
             net.enable_net_telemetry(TELEMETRY_SAMPLE_EVERY);
         }
         n_nodes = net.topo.n_nodes();
@@ -380,7 +353,6 @@ fn run_cell(spec: &TopoSpec, index: usize, collect: bool) -> (Json, CellTele) {
             latency.push(s.latency.mean());
             hops.push(s.hops.mean());
         }
-        #[cfg(feature = "telemetry")]
         if collect {
             // Distinct Perfetto pid/arrow namespaces per (cell, rep):
             // pure functions of the indices, so the merged trace is
@@ -393,6 +365,7 @@ fn run_cell(spec: &TopoSpec, index: usize, collect: bool) -> (Json, CellTele) {
                     ((index as u64 * 1024) + rep as u64) << 40,
                 )
                 .expect("collector was enabled above");
+            dra_telemetry::disable();
             match &mut cell_tele {
                 None => cell_tele = Some(Box::new((report.snapshot, report.trace))),
                 Some(acc) => {
@@ -427,10 +400,7 @@ fn run_cell(spec: &TopoSpec, index: usize, collect: bool) -> (Json, CellTele) {
         ("latency_s", welford_json(&latency)),
         ("hops", welford_json(&hops)),
     ]);
-    #[cfg(feature = "telemetry")]
-    return (record, cell_tele);
-    #[cfg(not(feature = "telemetry"))]
-    (record, ())
+    (record, cell_tele)
 }
 
 fn welford_json(w: &Welford) -> Json {

@@ -25,11 +25,10 @@
 //! * [`spec`] / [`engine`] / [`registry`] — declarative sweeps over
 //!   topology × faults × architecture, executed on the campaign worker
 //!   pool into byte-reproducible `dra-topo/v1` artifacts.
-//! * [`telemetry`] (feature `telemetry`) — network-scope
-//!   observability: per-router counters, hop-resolved flow spans with
-//!   Perfetto export, and the fault-forensics ledger, exported as a
-//!   `dra-topo-telemetry/v2` snapshot that is byte-identical at any
-//!   worker count.
+//! * [`telemetry`] — network-scope observability: per-router
+//!   counters, hop-resolved flow spans with Perfetto export, and the
+//!   fault-forensics ledger, exported as a `dra-topo-telemetry/v2`
+//!   snapshot that is byte-identical at any worker count.
 //!
 //! See `examples/network_resilience.rs` and the `topo` CLI
 //! (`cargo run --release -p dra-topo --bin topo -- --help`).
@@ -44,7 +43,6 @@ pub mod routes;
 pub mod seeds;
 pub mod spec;
 pub mod stats;
-#[cfg(feature = "telemetry")]
 pub mod telemetry;
 pub mod topology;
 

@@ -2,7 +2,7 @@
 //!
 //! This module is the producer side of
 //! [`dra_telemetry::NetScopeSnapshot`]: a per-run collector
-//! ([`NetTele`]) the network kernel feeds, and an exporter that turns
+//! (`NetTele`) the network kernel feeds, and an exporter that turns
 //! the collected raw points into the snapshot's sections — per-router
 //! counters, the fault-forensics ledger, hop-resolved flow spans —
 //! plus a Perfetto (Chrome `trace_event`) trace with one track per

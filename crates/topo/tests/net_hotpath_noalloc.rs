@@ -91,40 +91,36 @@ fn steady_state_network_simulation_is_allocation_free() {
         "hot path allocated {allocs} times over {events} events"
     );
 
-    // --- Telemetry compiled + hub armed + collector on, sampling off:
-    // the hot path still never allocates. (With the feature compiled
-    // but everything disabled, the section above already measured the
-    // one-branch-per-hop configuration.) Counters increment in place,
-    // ring events overwrite a preallocated buffer, and outcome points
-    // land in storage reserved at enable time; per-packet span
-    // collection is the only sampled (and allocating) part, and
-    // sampling 0 turns it off.
-    #[cfg(feature = "telemetry")]
-    {
-        dra_telemetry::enable(dra_telemetry::Config {
-            sample_every: 0,
-            ..dra_telemetry::Config::default()
-        });
+    // --- Hub armed + collector on, sampling off: the hot path still
+    // never allocates. (With no hub armed, the section above already
+    // measured the one-load-per-hook configuration.) Counters
+    // increment in place, ring events overwrite a preallocated buffer,
+    // and outcome points land in storage reserved at enable time;
+    // per-packet span collection is the only sampled (and allocating)
+    // part, and sampling 0 turns it off.
+    dra_telemetry::enable(dra_telemetry::Config {
+        sample_every: 0,
+        ..dra_telemetry::Config::default()
+    });
 
-        let mut net = mesh_net(40e-3);
-        net.enable_net_telemetry(0);
-        let mut sim = net.simulation(7);
-        sim.run_until(5e-3);
-        let events_before = sim.events_processed();
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        sim.run_until(35e-3);
-        let tele_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        let tele_events = sim.events_processed() - events_before;
-        assert!(
-            tele_events > 50_000,
-            "telemetry window too small ({tele_events} events)"
-        );
-        assert!(
-            (tele_allocs as f64) < (tele_events as f64) / 10_000.0,
-            "hot path with telemetry enabled allocated {tele_allocs} times \
-             over {tele_events} events"
-        );
+    let mut net = mesh_net(40e-3);
+    net.enable_net_telemetry(0);
+    let mut sim = net.simulation(7);
+    sim.run_until(5e-3);
+    let events_before = sim.events_processed();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    sim.run_until(35e-3);
+    let tele_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let tele_events = sim.events_processed() - events_before;
+    assert!(
+        tele_events > 50_000,
+        "telemetry window too small ({tele_events} events)"
+    );
+    assert!(
+        (tele_allocs as f64) < (tele_events as f64) / 10_000.0,
+        "hot path with telemetry enabled allocated {tele_allocs} times \
+         over {tele_events} events"
+    );
 
-        dra_telemetry::disable();
-    }
+    dra_telemetry::disable();
 }

@@ -1,12 +1,13 @@
-//! Network-scope telemetry contracts (feature `telemetry`).
+//! Network-scope telemetry contracts.
 //!
 //! * The whole snapshot and the whole flow trace are byte-identical at
-//!   `--workers` 1 vs 2 — the same invariance the artifact itself
+//!   `--workers` 1, 2 and 4 — the same invariance the artifact itself
 //!   carries, extended to the observability outputs.
+//! * A collecting sweep leaves the artifact byte-identical and no hub
+//!   armed behind it.
 //! * `NetScopeSnapshot::merge` is commutative and associative, so the
 //!   fold over per-cell partials is partition- and order-invariant
 //!   (proptest).
-#![cfg(feature = "telemetry")]
 
 use dra_campaign::json::{parse, Json};
 use dra_core::handle::ArchKind;
@@ -77,13 +78,14 @@ fn snapshot_and_trace_are_worker_invariant() {
         (outcome.artifact_text, snap, trace)
     };
     let (art1, snap1, trace1) = run_with(1);
-    let (art2, snap2, trace2) = run_with(2);
-
-    // The artifact stays byte-identical with collection on, and so do
-    // the whole snapshot and the flow trace.
-    assert_eq!(art1, art2);
-    assert_eq!(snap1, snap2);
-    assert_eq!(trace1, trace2);
+    for workers in [2, 4] {
+        // The artifact stays byte-identical with collection on, and so
+        // do the whole snapshot and the flow trace.
+        let (art, snap, trace) = run_with(workers);
+        assert_eq!(art1, art, "artifact differs at {workers} workers");
+        assert_eq!(snap1, snap, "snapshot differs at {workers} workers");
+        assert_eq!(trace1, trace, "trace differs at {workers} workers");
+    }
 
     // Snapshot shape: format tag, per-node counters, forensics with
     // the scripted SRU kills, sampled spans.
@@ -121,22 +123,29 @@ fn snapshot_and_trace_are_worker_invariant() {
 }
 
 #[test]
-fn telemetry_out_without_feature_is_not_reachable_here() {
-    // Compiled only with the feature: the engine accepts the request.
-    // The feature-off Unsupported error is covered by the CLI (a
-    // feature-off binary refuses before simulating); here we pin that
-    // a collection run with no outputs behaves exactly as before.
+fn collecting_sweep_disarms_its_hubs_and_keeps_the_artifact() {
+    // One worker runs the cells on this thread, so a hub armed per
+    // replication and never disarmed would still be armed here.
     let spec = tiny_spec();
-    let plain = engine::run(
-        &spec,
-        &TopoRunOptions {
-            workers: Some(1),
-            quiet: true,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let run_with = |telemetry_out: Option<PathBuf>| {
+        engine::run(
+            &spec,
+            &TopoRunOptions {
+                workers: Some(1),
+                quiet: true,
+                telemetry_out,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+    };
+    let plain = run_with(None);
     assert_eq!(plain.failed, 0);
+    let snap_path = tmp("disarm");
+    let collected = run_with(Some(snap_path.clone()));
+    let _ = std::fs::remove_file(&snap_path);
+    assert!(!dra_telemetry::enabled(), "the sweep left a hub armed");
+    assert_eq!(plain.artifact_text, collected.artifact_text);
 }
 
 // ---- merge algebra -------------------------------------------------

@@ -1,8 +1,8 @@
 //! Flight recorder + lifecycle sampling on one DRA cell.
 //!
 //! ```sh
-//! cargo run --release --features telemetry --example flight_recorder
-//! cargo run --release --features telemetry --example flight_recorder -- \
+//! cargo run --release --example flight_recorder
+//! cargo run --release --example flight_recorder -- \
 //!     --trace my_trace.json
 //! ```
 //!

@@ -1,8 +1,8 @@
 //! Network-scope observability on a fat-tree(4) under an SRU kill.
 //!
 //! ```sh
-//! cargo run --release --features telemetry --example network_trace
-//! cargo run --release --features telemetry --example network_trace -- \
+//! cargo run --release --example network_trace
+//! cargo run --release --example network_trace -- \
 //!     --trace my_trace.json --snapshot my_snapshot.json
 //! ```
 //!

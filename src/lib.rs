@@ -17,9 +17,9 @@
 //! * [`topo`] — the network-of-routers layer: topologies of
 //!   co-simulated BDR/DRA routers, multi-hop flows, and composed
 //!   network-reliability sweeps (`dra-topo/v1` artifacts).
-//! * [`telemetry`] (behind the `telemetry` cargo feature) — the
-//!   flight recorder, mergeable metrics registry, and sim-time trace
-//!   export wired through all of the above.
+//! * [`telemetry`] — the flight recorder, mergeable metrics registry,
+//!   and sim-time trace export wired through all of the above, armed
+//!   per run and otherwise one relaxed load per hook.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
@@ -30,7 +30,6 @@ pub use dra_linalg as linalg;
 pub use dra_markov as markov;
 pub use dra_net as net;
 pub use dra_router as router;
-#[cfg(feature = "telemetry")]
 pub use dra_telemetry as telemetry;
 pub use dra_topo as topo;
 
