@@ -5,8 +5,12 @@
 //! PRs can be compared number-to-number:
 //!
 //! * **DES kernel** — events/second through [`dra_des::Simulation`]
-//!   for a depth-1 chain, wide fan-outs, and a bimodal mix with
-//!   far-future stragglers (the shape fault-injection runs produce);
+//!   for a depth-1 chain, wide fan-outs, a bimodal mix with far-future
+//!   stragglers (the shape fault-injection runs produce), and a hold
+//!   model at exponential delays. All but the hold model reschedule at
+//!   a unit delay, so every push is a tail append — the best case for
+//!   a bucketed queue and not the shape simulations produce; only
+//!   `hold_exp_1024` pushes at random depths;
 //! * **iSLIP fabric** — matched slots/second and cells/second of
 //!   [`dra_router::fabric::Crossbar::schedule_slot`] in two regimes:
 //!   the tracked `islip` section runs a sparse scatter backlog at
@@ -56,6 +60,7 @@
 
 use dra_campaign::json::{parse, Json};
 use dra_core::sim::{DraConfig, DraRouter};
+use dra_des::random::exponential;
 use dra_des::stats::LogHistogram;
 use dra_des::{Ctx, Model, Simulation};
 use dra_net::addr::{Ipv4Addr, Ipv4Prefix};
@@ -182,6 +187,31 @@ impl Model for Bimodal {
     }
 }
 
+/// The classic hold model: `width` events pending at all times, each
+/// rescheduling itself at an exponential(1) delay drawn from the
+/// simulation's seeded `SmallRng`. Unlike the unit-delay rows above,
+/// every push lands at a random depth in the queue.
+struct Hold {
+    remaining: u64,
+    width: u64,
+}
+
+impl Model for Hold {
+    type Event = u8;
+    fn handle(&mut self, ev: u8, ctx: &mut Ctx<'_, u8>) {
+        if ev == 0 {
+            for _ in 0..self.width {
+                let delay = exponential(ctx.rng(), 1.0);
+                ctx.schedule(delay, 1);
+            }
+        } else if self.remaining > 0 {
+            self.remaining -= 1;
+            let delay = exponential(ctx.rng(), 1.0);
+            ctx.schedule(delay, 1);
+        }
+    }
+}
+
 /// Run one kernel workload `reps` times, keep the best rate.
 fn kernel_entry<M, F>(name: &str, reps: u32, build: F) -> Json
 where
@@ -240,6 +270,17 @@ fn bench_des_kernel(quick: bool) -> Json {
                 Bimodal {
                     remaining: n,
                     width: 4096,
+                },
+                1,
+            );
+            sim.schedule(0.0, 0);
+            sim
+        }),
+        kernel_entry("hold_exp_1024", reps, || {
+            let mut sim = Simulation::new(
+                Hold {
+                    remaining: n,
+                    width: 1024,
                 },
                 1,
             );

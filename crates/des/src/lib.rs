@@ -6,9 +6,8 @@
 //! * [`sim`] — the kernel: a [`sim::Simulation`] drives a user-supplied
 //!   [`sim::Model`] by delivering events in (time, insertion-order)
 //!   order. Same seed, same event sequence — bit-for-bit reproducible.
-//! * [`calendar`] — the calendar-queue scheduler under the kernel:
-//!   O(1) amortized enqueue/dequeue with the same total order a binary
-//!   heap over `(time, seq)` would produce.
+//! * [`calendar`] — the event queue under the kernel: a binary
+//!   min-heap over `(time, seq)` keys (the module name is historical).
 //! * [`random`] — inverse-transform samplers (exponential, Pareto,
 //!   discrete empirical, …) over any [`rand::Rng`], so no extra
 //!   distribution crates are needed.

@@ -10,14 +10,13 @@
 //!   instant are delivered in the order they were scheduled. This is
 //!   what makes runs reproducible across platforms: `f64` ties are
 //!   broken deterministically.
-//! * The queue itself is a [`CalendarQueue`] — O(1) amortized
-//!   push/pop against the O(log n) of the binary heap it replaced,
-//!   with the identical `(time, seq)` pop order, so traces (and the
-//!   campaign artifacts built from them) are byte-for-byte unchanged
-//!   across the swap.
+//! * The queue itself is a [`CalendarQueue`], a binary min-heap with
+//!   the payloads inline (the name is historical). Any structure that
+//!   pops in `(time, seq)` order gives the same traces, so the
+//!   campaign artifacts built from them do not depend on it.
 //! * Handlers receive a [`Ctx`], which lets them read the clock, draw
 //!   random numbers, schedule further events, and request a stop. New
-//!   events go straight into the calendar (the `Ctx` borrows it), so
+//!   events go straight into the queue (the `Ctx` borrows it), so
 //!   there is no per-event buffer allocation.
 
 use crate::calendar::CalendarQueue;
@@ -194,7 +193,7 @@ impl<M: Model> Simulation<M> {
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
         self.events_processed += 1;
-        dra_telemetry::des_event(self.now, self.queue.len(), self.queue.bucket_count());
+        dra_telemetry::des_event(self.now, self.queue.len());
         let mut ctx = Ctx {
             now: self.now,
             seq: &mut self.seq,
@@ -215,16 +214,15 @@ impl<M: Model> Simulation<M> {
         assert!(horizon.is_finite() && horizon >= self.now);
         let start = self.events_processed;
         while !self.stop {
-            // A single bounded pop both finds the head and removes it
-            // when in range — no separate peek pass, and a miss caches
-            // the found minimum so the next call stays O(1).
+            // One bounded pop both checks the head against the horizon
+            // and removes it when in range.
             let Some((time, _seq, event)) = self.queue.pop_at_or_before(horizon) else {
                 break;
             };
             debug_assert!(time >= self.now, "time went backwards");
             self.now = time;
             self.events_processed += 1;
-            dra_telemetry::des_event(self.now, self.queue.len(), self.queue.bucket_count());
+            dra_telemetry::des_event(self.now, self.queue.len());
             let mut ctx = Ctx {
                 now: self.now,
                 seq: &mut self.seq,

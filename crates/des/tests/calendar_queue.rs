@@ -1,45 +1,52 @@
-//! The determinism contract of the scheduler swap, checked by
-//! property: over arbitrary interleavings of schedules and steps, the
-//! calendar queue must deliver exactly the `(time, seq)` sequence a
-//! reference binary heap would — including equal-time ties, bounded
-//! pops against a horizon, and pushes below the current cursor.
+//! The determinism contract of the event queue, checked by property:
+//! over arbitrary interleavings of schedules and steps, the queue must
+//! deliver exactly the `(time, seq)` sequence of an independent model —
+//! a `Vec` kept in stable-sorted time order — including equal-time ties
+//! (signed zeros among them), bounded pops against a horizon, pushes
+//! below the last popped time, and far-future stragglers.
 
 use dra_des::calendar::CalendarQueue;
 use proptest::prelude::*;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// Reference min-queue over `(time, seq)`. Times are non-negative and
-/// finite, so the IEEE bit pattern orders exactly like the float.
+/// Reference min-queue: pending `(time, seq)` pairs, stable-sorted by
+/// time alone after every push. Pushes arrive in ascending `seq`, so
+/// the sort's stability is what breaks time ties by `seq`, and `-0.0`
+/// ties with `+0.0` because `partial_cmp` calls them equal.
 #[derive(Default)]
-struct RefHeap {
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
+struct SortedModel {
+    pending: Vec<(f64, u64)>,
 }
 
-impl RefHeap {
+impl SortedModel {
     fn push(&mut self, time: f64, seq: u64) {
-        self.heap.push(Reverse((time.to_bits(), seq)));
+        self.pending.push((time, seq));
+        self.pending
+            .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+    }
+    fn min_time(&self) -> Option<f64> {
+        self.pending.first().map(|&(t, _)| t)
     }
     fn pop(&mut self) -> Option<(f64, u64)> {
-        self.heap
-            .pop()
-            .map(|Reverse((bits, seq))| (f64::from_bits(bits), seq))
+        (!self.pending.is_empty()).then(|| self.pending.remove(0))
     }
     fn pop_at_or_before(&mut self, horizon: f64) -> Option<(f64, u64)> {
-        match self.heap.peek() {
-            Some(&Reverse((bits, _))) if f64::from_bits(bits) <= horizon => self.pop(),
+        match self.min_time() {
+            Some(t) if t <= horizon => self.pop(),
             _ => None,
         }
     }
 }
 
 /// Decode a generated `(regime, raw)` pair into an event time. The
-/// regimes deliberately cover the shapes that stress different parts
-/// of the calendar: coarse grids full of exact ties, dense sub-bucket
-/// clusters, and far-future stragglers whole calendar years away.
+/// regimes cover coarse grids full of exact ties (with both signed
+/// zeros), dense clusters, far-future stragglers, and arbitrary
+/// fractions.
 fn time_of(regime: u32, raw: u32) -> f64 {
     match regime % 4 {
-        0 => (raw % 8) as f64 * 0.5,       // tie-heavy coarse grid
+        0 => match raw % 9 {
+            8 => -0.0,
+            r => r as f64 * 0.5, // tie-heavy coarse grid, 0.0 included
+        },
         1 => raw as f64 * 1e-6,            // dense cluster
         2 => 1e7 + (raw % 1000) as f64,    // far-future stragglers
         _ => raw as f64 / u32::MAX as f64, // arbitrary fractions
@@ -52,46 +59,62 @@ proptest! {
     /// Identical `(time, seq)` delivery for every interleaving of
     /// schedule/step/bounded-step, then a full drain.
     #[test]
-    fn calendar_delivers_heap_order(
+    fn queue_delivers_sorted_model_order(
         ops in proptest::collection::vec((0u8..10, 0u32..4, any::<u32>()), 1..400),
     ) {
-        let mut cal = CalendarQueue::new();
-        let mut reference = RefHeap::default();
+        let mut q = CalendarQueue::new();
+        let mut model = SortedModel::default();
         let mut seq = 0u64;
 
         for (kind, regime, raw) in ops {
             match kind {
-                // Weighted toward pushes so queues actually grow
-                // through resize thresholds.
+                // Weighted toward pushes so the queue actually grows.
                 0..=5 => {
                     let t = time_of(regime, raw);
-                    cal.push(t, seq, seq);
-                    reference.push(t, seq);
+                    q.push(t, seq, seq);
+                    model.push(t, seq);
                     seq += 1;
                 }
                 6..=8 => {
-                    let got = cal.pop().map(|(t, s, _)| (t, s));
-                    prop_assert_eq!(got, reference.pop());
+                    let got = q.pop().map(|(t, s, _)| (t, s));
+                    prop_assert_eq!(got, model.pop());
                 }
                 _ => {
                     let horizon = time_of(regime, raw);
-                    let got = cal.pop_at_or_before(horizon).map(|(t, s, _)| (t, s));
-                    prop_assert_eq!(got, reference.pop_at_or_before(horizon));
-                    prop_assert_eq!(cal.min_time(), reference.heap.peek()
-                        .map(|&Reverse((bits, _))| f64::from_bits(bits)));
+                    let got = q.pop_at_or_before(horizon).map(|(t, s, _)| (t, s));
+                    prop_assert_eq!(got, model.pop_at_or_before(horizon));
+                    prop_assert_eq!(q.min_time(), model.min_time());
                 }
             }
-            prop_assert_eq!(cal.len(), reference.heap.len());
+            prop_assert_eq!(q.len(), model.pending.len());
         }
         // Full drain must agree to the last event.
         loop {
-            let got = cal.pop().map(|(t, s, _)| (t, s));
-            let want = reference.pop();
+            let got = q.pop().map(|(t, s, _)| (t, s));
+            let want = model.pop();
             prop_assert_eq!(got, want);
             if want.is_none() {
                 break;
             }
         }
-        prop_assert!(cal.is_empty());
+        prop_assert!(q.is_empty());
     }
+}
+
+/// A `-0.0`/`+0.0` tie is one key: the events leave in `seq` order
+/// whichever zero each was pushed with.
+#[test]
+fn signed_zero_tie_pops_in_seq_order() {
+    let mut q = CalendarQueue::new();
+    let mut model = SortedModel::default();
+    for (seq, t) in [0.0, -0.0, 0.0, -0.0, 1.0, -0.0].into_iter().enumerate() {
+        q.push(t, seq as u64, ());
+        model.push(t, seq as u64);
+    }
+    let mut got = Vec::new();
+    while let Some((t, s, ())) = q.pop() {
+        assert_eq!(Some((t, s)), model.pop());
+        got.push(s);
+    }
+    assert_eq!(got, [0, 1, 2, 3, 5, 4]);
 }

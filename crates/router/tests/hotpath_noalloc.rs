@@ -56,7 +56,7 @@ fn steady_state_simulation_is_allocation_free() {
     };
     let mut sim = BdrRouter::simulation(cfg, 0xA110C);
 
-    // Warmup: let the calendar queue, VOQ rings, reassembly slot
+    // Warmup: let the event queue, VOQ rings, reassembly slot
     // table, and in-flight map grow to their steady-state footprint.
     sim.run_until(5e-3);
 
@@ -68,9 +68,9 @@ fn steady_state_simulation_is_allocation_free() {
 
     assert!(events > 100_000, "window too small to be meaningful");
     let allocs = after - before;
-    // Rare residual growth (a hash-map rehash, a calendar bucket that
-    // first fills in this window) is tolerated; per-event allocation
-    // is not. Observed: 0 allocations over ~500k events.
+    // Rare residual growth (a hash-map rehash, the event heap doubling
+    // past a new peak in this window) is tolerated; per-event
+    // allocation is not. Observed: 0 allocations over ~500k events.
     assert!(
         (allocs as f64) < (events as f64) / 10_000.0,
         "steady-state hot path allocated {allocs} times over {events} events"

@@ -106,8 +106,6 @@ pub mod ids {
     pub const SIM_TIME: GaugeId = GaugeId(0);
     /// Peak DES queue length.
     pub const QUEUE_LEN: GaugeId = GaugeId(1);
-    /// Peak calendar-queue bucket count.
-    pub const CALENDAR_BUCKETS: GaugeId = GaugeId(2);
 
     /// Ingress processing + FIB lookup time.
     pub const H_LOOKUP: HistId = HistId(0);
@@ -139,11 +137,7 @@ const COUNTER_NAMES: [&str; 13] = [
     "eib.collisions",
 ];
 
-const GAUGE_NAMES: [&str; 3] = [
-    "des.sim_time",
-    "des.queue_len_peak",
-    "des.calendar_buckets_peak",
-];
+const GAUGE_NAMES: [&str; 2] = ["des.sim_time", "des.queue_len_peak"];
 
 const HIST_NAMES: [&str; 6] = [
     "latency.lookup",
@@ -366,7 +360,7 @@ pub fn hist_record(id: HistId, x: f64) {
 /// hub's sim-time stamp (used by every subsequent [`event`]) and
 /// updates the kernel counters/gauges.
 #[inline]
-pub fn des_event(now: f64, queue_len: usize, calendar_buckets: usize) {
+pub fn des_event(now: f64, queue_len: usize) {
     with_hub(|h| {
         h.now = now;
         h.counters[ids::DES_EVENTS.0 as usize] += 1;
@@ -374,10 +368,6 @@ pub fn des_event(now: f64, queue_len: usize, calendar_buckets: usize) {
         let ql = queue_len as f64;
         if ql > h.gauges[ids::QUEUE_LEN.0 as usize] {
             h.gauges[ids::QUEUE_LEN.0 as usize] = ql;
-        }
-        let cb = calendar_buckets as f64;
-        if cb > h.gauges[ids::CALENDAR_BUCKETS.0 as usize] {
-            h.gauges[ids::CALENDAR_BUCKETS.0 as usize] = cb;
         }
     });
 }
@@ -692,7 +682,7 @@ mod tests {
         std::thread::spawn(|| {
             assert_eq!(live(), 1);
             assert!(!enabled());
-            des_event(1.0, 1, 1);
+            des_event(1.0, 1);
             counter_add(ids::ARRIVALS, 1);
             track_arrival(7, 0, 64);
             event(EventKind::Arrival, 7, 0, 64);
@@ -728,18 +718,18 @@ mod tests {
     fn full_lifecycle_roundtrip() {
         let _serial = serial();
         enable(fresh(true));
-        des_event(1.0, 3, 4);
+        des_event(1.0, 3);
         counter_add(ids::ARRIVALS, 1);
         track_arrival(42, 2, 1500);
         event(EventKind::Arrival, 42, 2, 1500);
-        des_event(1.1, 2, 4);
+        des_event(1.1, 2);
         mark_lookup_done(42);
         mark_voq_enqueue(42);
-        des_event(1.2, 2, 4);
+        des_event(1.2, 2);
         mark_cell_switched(42);
-        des_event(1.3, 1, 4);
+        des_event(1.3, 1);
         mark_cell_switched(42);
-        des_event(1.4, 0, 4);
+        des_event(1.4, 0);
         finish_packet(42);
 
         let snap = snapshot().expect("enabled");
@@ -762,7 +752,7 @@ mod tests {
         let _serial = serial();
         enable(fresh(false));
         for i in 0..20u64 {
-            des_event(i as f64, 0, 0);
+            des_event(i as f64, 0);
             event(EventKind::Arrival, i, 0, 0);
         }
         assert!(!anomaly_tripped());

@@ -76,16 +76,16 @@ fn mesh_net(traffic_stop_s: f64) -> NetworkSim {
 #[test]
 fn steady_state_network_simulation_is_allocation_free() {
     let mut sim = mesh_net(40e-3).simulation(7);
-    sim.run_until(5e-3); // warm the calendar queue and link tables
+    sim.run_until(5e-3); // warm the event queue and link tables
     let events_before = sim.events_processed();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     sim.run_until(35e-3);
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
     let events = sim.events_processed() - events_before;
     assert!(events > 50_000, "window too small ({events} events)");
-    // Rare residual growth (a Welford table, a calendar bucket first
-    // touched in the window) is tolerated; per-event allocation is
-    // not. Observed: 0 over ~190k events.
+    // Rare residual growth (a Welford table, the event heap doubling
+    // past a new peak in the window) is tolerated; per-event
+    // allocation is not. Observed: 0 over ~190k events.
     assert!(
         (allocs as f64) < (events as f64) / 10_000.0,
         "hot path allocated {allocs} times over {events} events"
