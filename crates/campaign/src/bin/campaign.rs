@@ -13,16 +13,18 @@
 //! the same spec resumes from the checkpoint; `--fresh` discards it.
 
 use dra_campaign::engine::{self, RunOptions};
+use dra_campaign::pool::default_workers;
 use dra_campaign::rareevent;
 use dra_campaign::registry;
 use dra_campaign::report::{artifact_table, print_csv, print_table};
+use dra_campaign::sweep::{check_file, Grid, GridCell};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Cli {
     spec: String,
     quick: bool,
-    workers: usize,
+    workers: Option<usize>,
     seed: Option<u64>,
     replications: Option<usize>,
     out: Option<PathBuf>,
@@ -69,7 +71,7 @@ fn parse_cli() -> Cli {
     let mut cli = Cli {
         spec: "faceoff".into(),
         quick: false,
-        workers: dra_campaign::pool::default_workers(),
+        workers: None,
         seed: None,
         replications: None,
         out: None,
@@ -96,7 +98,9 @@ fn parse_cli() -> Cli {
         match arg.as_str() {
             "--spec" => cli.spec = value("--spec"),
             "--quick" => cli.quick = true,
-            "--workers" => cli.workers = value("--workers").parse().unwrap_or_else(|_| usage()),
+            "--workers" => {
+                cli.workers = Some(value("--workers").parse().unwrap_or_else(|_| usage()))
+            }
             "--seed" => cli.seed = Some(value("--seed").parse().unwrap_or_else(|_| usage())),
             "--replications" => {
                 cli.replications = Some(value("--replications").parse().unwrap_or_else(|_| usage()))
@@ -123,6 +127,24 @@ fn parse_cli() -> Cli {
         }
     }
     cli
+}
+
+/// Print the run header and resolve the artifact path (`None` under
+/// `--no-out`; `results/<spec>.json` unless `--out` names one).
+fn announce<C: GridCell>(spec: &Grid<C>, cli: &Cli) -> Option<PathBuf> {
+    eprintln!(
+        "campaign {:?}: {} cells, master seed {}, digest {}, {} workers",
+        spec.name,
+        spec.cells.len(),
+        spec.master_seed,
+        spec.digest(),
+        cli.workers.unwrap_or_else(default_workers)
+    );
+    if cli.no_out {
+        return None;
+    }
+    let default = || PathBuf::from(format!("results/{}.json", spec.name));
+    Some(cli.out.clone().unwrap_or_else(default))
 }
 
 /// Drive a rare-event campaign with the subset of CLI knobs that apply
@@ -158,23 +180,7 @@ fn run_rare_campaign(mut spec: rareevent::RareCampaignSpec, cli: &Cli) -> ExitCo
         );
         return ExitCode::SUCCESS;
     }
-    let out = if cli.no_out {
-        None
-    } else {
-        Some(
-            cli.out
-                .clone()
-                .unwrap_or_else(|| PathBuf::from(format!("results/{}.json", spec.name))),
-        )
-    };
-    eprintln!(
-        "campaign {:?}: {} cells, master seed {}, digest {}, {} workers",
-        spec.name,
-        spec.cells.len(),
-        spec.master_seed,
-        spec.digest(),
-        cli.workers
-    );
+    let out = announce(&spec, cli);
     let outcome = match rareevent::run(
         &spec,
         &rareevent::RareRunOptions {
@@ -218,58 +224,23 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &cli.check {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
         // Dispatch on the artifact's own format field, so one --check
         // flag covers both campaign kinds.
-        let format = dra_campaign::json::parse(&text).ok().and_then(|doc| {
-            doc.get("format")
-                .and_then(dra_campaign::json::Json::as_str)
-                .map(String::from)
-        });
-        if format.as_deref() == Some(rareevent::RARE_ARTIFACT_FORMAT) {
-            return match rareevent::validate_rare_artifact(&text) {
-                Ok((cells, misses)) => {
-                    println!(
-                        "{}: valid {} artifact, {cells} cells, {misses} CI misses",
-                        path.display(),
-                        rareevent::RARE_ARTIFACT_FORMAT
-                    );
-                    if misses > 0 {
-                        ExitCode::FAILURE
-                    } else {
-                        ExitCode::SUCCESS
-                    }
-                }
-                Err(e) => {
-                    eprintln!("{}: INVALID artifact: {e}", path.display());
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        return match engine::validate_artifact(&text) {
-            Ok((cells, errors)) => {
-                println!(
-                    "{}: valid {} artifact, {cells} cells, {errors} error cells",
-                    path.display(),
-                    engine::ARTIFACT_FORMAT
-                );
-                if errors > 0 {
-                    ExitCode::FAILURE
-                } else {
-                    ExitCode::SUCCESS
-                }
-            }
-            Err(e) => {
-                eprintln!("{}: INVALID artifact: {e}", path.display());
-                ExitCode::FAILURE
-            }
-        };
+        return check_file(
+            path,
+            &[
+                (
+                    rareevent::RARE_ARTIFACT_FORMAT,
+                    rareevent::validate_rare_artifact,
+                    "CI misses",
+                ),
+                (
+                    engine::ARTIFACT_FORMAT,
+                    engine::validate_artifact,
+                    "error cells",
+                ),
+            ],
+        );
     }
 
     let mut spec = match registry::build(&cli.spec, cli.quick) {
@@ -332,15 +303,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let out = if cli.no_out {
-        None
-    } else {
-        Some(
-            cli.out
-                .clone()
-                .unwrap_or_else(|| PathBuf::from(format!("results/{}.json", spec.name))),
-        )
-    };
+    let out = announce(&spec, &cli);
     let opts = RunOptions {
         workers: cli.workers,
         out,
@@ -353,14 +316,6 @@ fn main() -> ExitCode {
         trace_out: cli.trace.clone(),
     };
 
-    eprintln!(
-        "campaign {:?}: {} cells, master seed {}, digest {}, {} workers",
-        spec.name,
-        spec.cells.len(),
-        spec.master_seed,
-        spec.digest(),
-        opts.workers
-    );
     let outcome = match engine::run(&spec, &opts) {
         Ok(o) => o,
         Err(e) => {

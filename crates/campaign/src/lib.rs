@@ -8,6 +8,11 @@
 //! loops, hand-rolled seeding, bespoke aggregation, print-only output.
 //! This crate replaces that with one pipeline:
 //!
+//! * [`sweep`] — the one runner every sweep kind shares: the spec
+//!   envelope ([`sweep::Grid`]: validation, manifest, digest), pool
+//!   dispatch with per-cell panic isolation, artifact assembly with
+//!   the kind's checker run before the atomic write, and the envelope
+//!   half of every `--check`.
 //! * [`spec`] — a [`spec::CampaignSpec`] declares a grid of cells:
 //!   architecture × router config × fault scenario × replications.
 //!   Scenarios are either explicit [`dra_core::scenario::Scenario`]
@@ -18,7 +23,7 @@
 //! * [`pool`] — the workspace's worker pool (scoped threads, shared
 //!   work queue, per-item panic isolation). `dra-bench::parallel_map`
 //!   is now a re-export of [`pool::parallel_map`].
-//! * [`engine`] — runs cells on the pool, aggregates per-cell stats
+//! * [`engine`] — runs cells through [`sweep`], aggregates per-cell stats
 //!   ([`dra_des::stats::Welford`] delivery CI, drop-cause breakdown,
 //!   EIB counters, windowed per-LC bytes), checkpoints finished cells
 //!   to a `.partial.jsonl`, and atomically writes a versioned JSON
@@ -30,7 +35,7 @@
 //!   [`dra_core::rareevent`] estimator runs (importance splitting,
 //!   likelihood-ratio failure biasing, brute force) with a per-cell
 //!   exact-Markov cross-check, emitted as `dra-rareevent/v1`
-//!   artifacts under the same determinism contract.
+//!   artifacts through the same runner.
 //! * [`json`] / [`report`] — the hand-rolled JSON layer (the build
 //!   environment has no serde) and shared table/CSV printers.
 //!
@@ -47,6 +52,7 @@ pub mod registry;
 pub mod report;
 pub mod seed;
 pub mod spec;
+pub mod sweep;
 
 pub use engine::{run, CampaignOutcome, RunOptions};
 pub use pool::{parallel_map, WorkerPool};

@@ -2,15 +2,13 @@
 //! [`dra_core::rareevent`] estimator runs with a built-in exact-Markov
 //! cross-check per cell.
 //!
-//! A [`RareCampaignSpec`] is deliberately parallel to
-//! [`crate::spec::CampaignSpec`]: a named grid of cells plus one master
-//! seed, a canonical JSON manifest, and an FNV-1a digest stamped into
-//! the artifact. Cells run on the same [`crate::pool::WorkerPool`] and
-//! draw their RNG seed from [`crate::seed::derive_seed`] keyed by cell
-//! index, so the `dra-rareevent/v1` artifact is byte-identical for any
-//! worker count — including the splitting estimator, whose clone
-//! trajectories derive *their* seeds structurally inside the core
-//! estimator.
+//! A [`RareCampaignSpec`] is a [`Grid`] like
+//! [`crate::spec::CampaignSpec`], run by the same [`crate::sweep`]
+//! runner. Cells draw their RNG seed from [`crate::seed::derive_seed`]
+//! keyed by cell index, so the `dra-rareevent/v1` artifact is
+//! byte-identical for any worker count — including the splitting
+//! estimator, whose clone trajectories derive *their* seeds
+//! structurally inside the core estimator.
 //!
 //! What makes this campaign kind different from the packet campaigns:
 //! every cell also solves the **exact** component-level Markov model
@@ -19,17 +17,14 @@
 //! is therefore self-validating: `campaign --check` fails if any cell's
 //! CI misses truth, no external baseline needed.
 
-use crate::json::{parse, Json};
-use crate::pool::WorkerPool;
+use crate::json::Json;
 use crate::report::print_table;
 use crate::seed::{derive_seed, Stream};
+use crate::sweep::{self, check_artifact, Grid, GridCell, Report};
 use dra_core::analysis::nines::{format_nines_interval, nines_interval};
 use dra_core::rareevent::{estimate, markov_oracle, RareConfig, RareMethod};
 use dra_router::components::FailureRates;
-use std::collections::BTreeMap;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// The rare-event artifact format identifier.
 pub const RARE_ARTIFACT_FORMAT: &str = "dra-rareevent/v1";
@@ -54,7 +49,11 @@ pub struct RareCellSpec {
     pub method: RareMethod,
 }
 
-impl RareCellSpec {
+impl GridCell for RareCellSpec {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
     fn validate(&self, index: usize) {
         assert!(self.n >= 3, "cell {index}: n < 3");
         assert!(
@@ -74,8 +73,7 @@ impl RareCellSpec {
         }
     }
 
-    /// Canonical JSON description (everything that affects results).
-    pub fn manifest(&self) -> Json {
+    fn manifest(&self) -> Json {
         let r = &self.rates;
         let method = match self.method {
             RareMethod::BruteForce => Json::obj(vec![("kind", Json::Str("brute-force".into()))]),
@@ -109,65 +107,14 @@ impl RareCellSpec {
     }
 }
 
-/// A full rare-event campaign.
-#[derive(Debug, Clone)]
-pub struct RareCampaignSpec {
-    /// Campaign name (also the default artifact file stem).
-    pub name: String,
-    /// One-line description for the artifact manifest.
-    pub description: String,
-    /// Master seed; every cell's RNG stream derives from it.
-    pub master_seed: u64,
-    /// The grid.
-    pub cells: Vec<RareCellSpec>,
-}
-
-impl RareCampaignSpec {
-    /// Panic on malformed specs (empty grid, duplicate ids, bad cells).
-    pub fn validate(&self) {
-        assert!(!self.cells.is_empty(), "campaign {:?} empty", self.name);
-        let mut ids = std::collections::HashSet::new();
-        for (i, cell) in self.cells.iter().enumerate() {
-            cell.validate(i);
-            assert!(
-                ids.insert(cell.id.as_str()),
-                "duplicate cell id {:?}",
-                cell.id
-            );
-        }
-    }
-
-    /// Canonical JSON manifest: name, seed, and every cell.
-    pub fn manifest(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("description", Json::Str(self.description.clone())),
-            ("master_seed", Json::Num(self.master_seed as f64)),
-            (
-                "cells",
-                Json::Arr(self.cells.iter().map(|c| c.manifest()).collect()),
-            ),
-        ])
-    }
-
-    /// FNV-1a digest of the compact manifest (same scheme as
-    /// [`crate::spec::CampaignSpec::digest`]).
-    pub fn digest(&self) -> String {
-        let text = self.manifest().to_string_compact();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{h:016x}")
-    }
-}
+/// A full rare-event campaign: a [`Grid`] of [`RareCellSpec`]s.
+pub type RareCampaignSpec = Grid<RareCellSpec>;
 
 /// Knobs for one rare-engine invocation (none may affect results).
 #[derive(Debug, Clone, Default)]
 pub struct RareRunOptions {
-    /// Worker threads (0 ⇒ pool default, 1 ⇒ serial).
-    pub workers: usize,
+    /// Worker threads: `None` runs one per CPU, `Some(1)` runs serial.
+    pub workers: Option<usize>,
     /// Artifact path; `None` runs in memory.
     pub out: Option<PathBuf>,
     /// Suppress progress lines on stderr.
@@ -189,73 +136,26 @@ pub struct RareOutcome {
 /// and fast (minutes at worst), so there is no checkpoint/resume — the
 /// artifact is assembled in memory and written atomically.
 pub fn run(spec: &RareCampaignSpec, opts: &RareRunOptions) -> std::io::Result<RareOutcome> {
-    spec.validate();
-    let workers = if opts.workers == 0 {
-        crate::pool::default_workers()
-    } else {
-        opts.workers
+    let report = Report {
+        cells: !opts.quiet,
+        progress: false,
     };
-    let pool = WorkerPool::new(workers);
-    let indices: Vec<usize> = (0..spec.cells.len()).collect();
-    let quiet = opts.quiet;
-    let outcomes = pool.try_map(indices.clone(), |&i| {
-        let cell_json = run_cell(spec, i);
-        if !quiet {
-            eprintln!("  cell {i} ({}) done", spec.cells[i].id);
-        }
-        cell_json
-    });
-
-    let mut failed = 0;
-    let mut done: BTreeMap<usize, Json> = BTreeMap::new();
-    for (idx, outcome) in indices.iter().zip(outcomes) {
-        let cell_json = match outcome {
-            Ok(j) => j,
-            Err(p) => {
-                failed += 1;
-                Json::obj(vec![
-                    ("cell", Json::Num(indices[p.index] as f64)),
-                    ("id", Json::Str(spec.cells[indices[p.index]].id.clone())),
-                    ("error", Json::Str(p.message.clone())),
-                ])
-            }
-        };
-        done.insert(*idx, cell_json);
-    }
-
-    let artifact = Json::obj(vec![
-        ("format", Json::Str(RARE_ARTIFACT_FORMAT.into())),
-        ("digest", Json::Str(spec.digest())),
-        ("spec", spec.manifest()),
-        ("cells", Json::Arr(done.into_values().collect())),
-    ]);
-    let mut artifact_path = None;
-    if let Some(out) = &opts.out {
-        write_atomic(out, &artifact.to_string_pretty())?;
-        artifact_path = Some(out.clone());
-    }
+    let swept = sweep::run(spec, opts.workers, report, None, |i| {
+        (run_cell(spec, i), ())
+    })?;
+    let (artifact, _) = sweep::finish(
+        spec,
+        RARE_ARTIFACT_FORMAT,
+        swept.cells,
+        Vec::new(),
+        validate_rare_artifact,
+        opts.out.as_deref(),
+    )?;
     Ok(RareOutcome {
         artifact,
-        artifact_path,
-        failed,
+        artifact_path: opts.out.clone(),
+        failed: swept.failed,
     })
-}
-
-fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir)?;
-        }
-    }
-    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
 }
 
 /// `Num` for finite values, `Null` otherwise (a brute-force cell at
@@ -342,49 +242,8 @@ fn run_cell(spec: &RareCampaignSpec, index: usize) -> Json {
 /// whose CI failed to cover the exact Markov answer (plus error
 /// cells). Used by `campaign --check` and the CI smoke job.
 pub fn validate_rare_artifact(text: &str) -> Result<(usize, usize), String> {
-    let doc = parse(text).map_err(|e| e.to_string())?;
-    if doc.get("format").and_then(Json::as_str) != Some(RARE_ARTIFACT_FORMAT) {
-        return Err(format!(
-            "format is {:?}, expected {RARE_ARTIFACT_FORMAT:?}",
-            doc.get("format")
-        ));
-    }
-    doc.get("digest")
-        .and_then(Json::as_str)
-        .filter(|d| d.len() == 16)
-        .ok_or("missing/malformed digest")?;
-    let spec_cells = doc
-        .get("spec")
-        .and_then(|s| s.get("cells"))
-        .and_then(Json::as_arr)
-        .ok_or("spec manifest has no cells")?;
-    let cells = doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("missing cells array")?;
-    if cells.len() != spec_cells.len() {
-        return Err(format!(
-            "artifact has {} cells but the spec declares {}",
-            cells.len(),
-            spec_cells.len()
-        ));
-    }
     let mut misses = 0;
-    for (i, cell) in cells.iter().enumerate() {
-        let idx = cell
-            .get("cell")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("cell {i}: missing index"))?;
-        if idx != i as u64 {
-            return Err(format!("cell {i}: out of order (index {idx})"));
-        }
-        cell.get("id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("cell {i}: missing id"))?;
-        if cell.get("error").is_some() {
-            misses += 1;
-            continue;
-        }
+    let (_, cells, errors) = check_artifact(text, RARE_ARTIFACT_FORMAT, |i, cell, _| {
         let u = cell
             .get("estimate")
             .and_then(|e| e.get("unavailability"))
@@ -406,8 +265,9 @@ pub fn validate_rare_artifact(text: &str) -> Result<(usize, usize), String> {
             Some(Json::Bool(false)) => misses += 1,
             _ => return Err(format!("cell {i}: missing markov.within_ci")),
         }
-    }
-    Ok((cells.len(), misses))
+        Ok(())
+    })?;
+    Ok((cells, errors + misses))
 }
 
 /// Registry of built-in rare-event specs (the `--spec` names the
@@ -562,14 +422,13 @@ mod tests {
     #[test]
     fn digest_is_stable_and_sensitive() {
         let spec = tiny_spec();
-        let d = spec.digest();
-        assert_eq!(d.len(), 16);
         let mut other = spec.clone();
-        other.master_seed ^= 1;
-        assert_ne!(d, other.digest());
-        let mut other = spec;
         other.cells[0].method = RareMethod::FailureBiasing { bias: 0.7 };
-        assert_ne!(d, other.digest(), "method knobs must change the digest");
+        assert_ne!(
+            spec.digest(),
+            other.digest(),
+            "method knobs must change the digest"
+        );
     }
 
     #[test]
@@ -580,24 +439,6 @@ mod tests {
         let (cells, misses) = validate_rare_artifact(&text).unwrap();
         assert_eq!(cells, 3);
         assert_eq!(misses, 0, "a CI missed the exact answer:\n{text}");
-    }
-
-    #[test]
-    fn artifact_independent_of_worker_count() {
-        let spec = tiny_spec();
-        let at = |workers| {
-            run(
-                &spec,
-                &RareRunOptions {
-                    workers,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-            .artifact
-            .to_string_pretty()
-        };
-        assert_eq!(at(1), at(4));
     }
 
     #[test]
@@ -612,11 +453,5 @@ mod tests {
                 < build("rareevent", false).unwrap().cells.len()
         );
         assert!(build("nope", false).is_none());
-    }
-
-    #[test]
-    fn validate_rejects_wrong_format() {
-        assert!(validate_rare_artifact("{\"format\":\"dra-campaign/v1\"}").is_err());
-        assert!(validate_rare_artifact("nope").is_err());
     }
 }

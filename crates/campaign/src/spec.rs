@@ -1,7 +1,7 @@
 //! Campaign specifications: the declarative description of an
 //! experiment grid.
 //!
-//! A [`CampaignSpec`] is a list of [`CellSpec`]s — one cell per
+//! A [`CampaignSpec`] is a [`Grid`] of [`CellSpec`]s — one cell per
 //! (architecture, router config, scenario, replication count) point —
 //! plus a single master seed. Everything stochastic about a campaign
 //! derives from the spec: per-replication RNG streams come from
@@ -13,6 +13,7 @@
 //! an edited spec is rejected instead of producing a franken-artifact.
 
 use crate::json::Json;
+use crate::sweep::{Grid, GridCell};
 use dra_core::scenario::{Action, FaultProcess, Scenario};
 use dra_router::bdr::BdrConfig;
 
@@ -90,7 +91,11 @@ pub struct CellSpec {
     pub seed_group: u64,
 }
 
-impl CellSpec {
+impl GridCell for CellSpec {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
     fn validate(&self, index: usize) {
         assert!(self.replications >= 1, "cell {index}: replications < 1");
         assert!(
@@ -108,8 +113,7 @@ impl CellSpec {
         );
     }
 
-    /// Canonical JSON description (everything that affects results).
-    pub fn manifest(&self) -> Json {
+    fn manifest(&self) -> Json {
         let cfg = &self.config;
         let protocols: Vec<Json> = (0..cfg.n_lcs)
             .map(|lc| Json::Str(format!("{:?}", cfg.protocol_of(lc)).to_lowercase()))
@@ -205,66 +209,8 @@ fn describe_action(a: &Action) -> String {
     }
 }
 
-/// A full experiment campaign.
-#[derive(Debug, Clone)]
-pub struct CampaignSpec {
-    /// Campaign name (also the default artifact file stem).
-    pub name: String,
-    /// One-line description for the artifact manifest.
-    pub description: String,
-    /// Master seed; every RNG stream in the campaign derives from it.
-    pub master_seed: u64,
-    /// The grid.
-    pub cells: Vec<CellSpec>,
-}
-
-impl CampaignSpec {
-    /// Panic on malformed specs (empty grid, duplicate ids, faulty
-    /// cells). Called by the engine before execution.
-    pub fn validate(&self) {
-        assert!(
-            !self.cells.is_empty(),
-            "campaign {:?} has no cells",
-            self.name
-        );
-        let mut ids = std::collections::HashSet::new();
-        for (i, cell) in self.cells.iter().enumerate() {
-            cell.validate(i);
-            assert!(
-                ids.insert(cell.id.as_str()),
-                "duplicate cell id {:?}",
-                cell.id
-            );
-        }
-    }
-
-    /// Canonical JSON manifest: name, seed, and every cell.
-    pub fn manifest(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("description", Json::Str(self.description.clone())),
-            ("master_seed", Json::Num(self.master_seed as f64)),
-            (
-                "cells",
-                Json::Arr(self.cells.iter().map(|c| c.manifest()).collect()),
-            ),
-        ])
-    }
-
-    /// FNV-1a digest of the compact manifest, rendered as fixed-width
-    /// hex. Stamped into checkpoints and artifacts; a resume whose
-    /// digest differs from the checkpoint's is running a different
-    /// experiment and is refused.
-    pub fn digest(&self) -> String {
-        let text = self.manifest().to_string_compact();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{h:016x}")
-    }
-}
+/// A full experiment campaign: a [`Grid`] of [`CellSpec`]s.
+pub type CampaignSpec = Grid<CellSpec>;
 
 #[cfg(test)]
 mod tests {
@@ -295,18 +241,16 @@ mod tests {
 
     #[test]
     fn digest_is_stable_and_sensitive() {
+        // Stability and seed sensitivity are the shared envelope's
+        // (sweep::tests); the replication count is this cell type's.
         let spec = tiny_spec();
-        let d1 = spec.digest();
-        assert_eq!(d1, spec.clone().digest());
-        assert_eq!(d1.len(), 16);
-
         let mut other = spec.clone();
-        other.master_seed = 2;
-        assert_ne!(d1, other.digest(), "seed must change the digest");
-
-        let mut other = spec;
         other.cells[0].replications = 2;
-        assert_ne!(d1, other.digest(), "grid shape must change the digest");
+        assert_ne!(
+            spec.digest(),
+            other.digest(),
+            "grid shape must change the digest"
+        );
     }
 
     #[test]
@@ -319,15 +263,6 @@ mod tests {
         let ev = sc.get("events").unwrap().as_arr().unwrap();
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].as_arr().unwrap()[1].as_str(), Some("fail-lc0-sru"));
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate cell id")]
-    fn duplicate_ids_rejected() {
-        let mut spec = tiny_spec();
-        let dup = spec.cells[0].clone();
-        spec.cells.push(dup);
-        spec.validate();
     }
 
     #[test]

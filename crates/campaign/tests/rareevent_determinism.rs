@@ -23,7 +23,7 @@ fn artifact_files_are_byte_identical_across_worker_counts() {
         let out = run(
             &spec,
             &RareRunOptions {
-                workers,
+                workers: Some(workers),
                 out: Some(path.clone()),
                 quiet: true,
             },

@@ -13,6 +13,7 @@
 
 use dra_campaign::json::Json;
 use dra_campaign::report::{print_csv, print_table};
+use dra_campaign::sweep::check_file;
 use dra_topo::engine::{self, TopoRunOptions};
 use dra_topo::registry;
 use std::path::PathBuf;
@@ -56,7 +57,8 @@ fn usage() -> ! {
          --dry-run   print the expanded grid (cells, axes, totals)\n\
          \x20         and exit without simulating\n\
          --check     validate an existing artifact (format, ordering,\n\
-         \x20         per-cell packet conservation)"
+         \x20         integer drop census, per-cell packet conservation,\n\
+         \x20         no drops but link congestion in healthy cells)"
     );
     std::process::exit(2);
 }
@@ -181,31 +183,14 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &cli.check {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        return match engine::validate_artifact(&text) {
-            Ok((cells, errors)) => {
-                println!(
-                    "{}: valid {} artifact, {cells} cells, {errors} error cells",
-                    path.display(),
-                    engine::ARTIFACT_FORMAT
-                );
-                if errors > 0 {
-                    ExitCode::FAILURE
-                } else {
-                    ExitCode::SUCCESS
-                }
-            }
-            Err(e) => {
-                eprintln!("{}: INVALID artifact: {e}", path.display());
-                ExitCode::FAILURE
-            }
-        };
+        return check_file(
+            path,
+            &[(
+                engine::ARTIFACT_FORMAT,
+                engine::validate_artifact,
+                "error cells",
+            )],
+        );
     }
 
     let mut spec = match registry::spec_by_name(&cli.spec, cli.quick) {

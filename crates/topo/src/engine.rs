@@ -1,33 +1,32 @@
-//! Topo-sweep execution: the grid → worker pool → `dra-topo/v1`
-//! artifact pipeline.
+//! Topo-sweep execution: the grid → [`dra_campaign::sweep`] runner →
+//! `dra-topo/v1` artifact pipeline.
 //!
-//! Mirrors [`dra_campaign::engine`] one level up. The same determinism
-//! machinery applies: per-cell seeds derive from `(master_seed,
-//! seed_group, replication, stream)` via SplitMix64 — with the extra
-//! per-node coordinate of [`crate::seeds::node_seed`] inside each
-//! cell — cells are computed in any order on any number of workers,
-//! then assembled sorted by cell index, so the artifact is
-//! byte-identical at every worker count (the CI `topo-smoke` job pins
-//! workers 1 vs 4).
+//! The shared runner gives the campaign determinism contract one level
+//! up: per-cell seeds derive from `(master_seed, seed_group,
+//! replication, stream)` via SplitMix64 — with the extra per-node
+//! coordinate of [`crate::seeds::node_seed`] inside each cell — cells
+//! are computed in any order on any number of workers, then assembled
+//! sorted by cell index, so the artifact is byte-identical at every
+//! worker count (the CI `topo-smoke` job pins workers 1 vs 4). This
+//! module keeps the cell body, the network-scope telemetry merge and
+//! the semantic half of `topo --check`.
 
 use crate::net::{Flow, NetAction, NetConfig, NetScenario, NetworkSim};
 use crate::seeds::{node_seed, NodeSeedStream};
 use crate::spec::{TopoCellSpec, TopoFaultSpec, TopoSpec};
 use crate::stats::NetDropCause;
 use crate::topology::Topology;
-use dra_campaign::json::{parse, Json};
-use dra_campaign::pool::WorkerPool;
+use dra_campaign::json::Json;
+use dra_campaign::pool::default_workers;
 use dra_campaign::seed::{derive_seed, Stream};
+use dra_campaign::sweep::{self, check_artifact, welford_json, write_atomic, Report};
 use dra_core::scenario::FaultProcess;
 use dra_des::stats::Welford;
 use dra_router::components::ComponentKind;
 use dra_router::faults::{FaultGranularity, FaultInjector};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Artifact format tag.
 pub const ARTIFACT_FORMAT: &str = "dra-topo/v1";
@@ -39,7 +38,7 @@ const FLOW_TAG: u64 = 0xF10D_0000_0000_0001;
 /// How to execute a sweep.
 #[derive(Debug, Clone, Default)]
 pub struct TopoRunOptions {
-    /// Worker threads (None = one per CPU).
+    /// Worker threads: `None` runs one per CPU, `Some(1)` runs serial.
     pub workers: Option<usize>,
     /// Artifact path (None = don't write, return text only).
     pub out: Option<PathBuf>,
@@ -62,84 +61,42 @@ pub struct TopoOutcome {
     pub artifact_text: String,
     /// Where it was written, if anywhere.
     pub path: Option<PathBuf>,
-    /// Cells computed.
-    pub cells: usize,
     /// Cells that panicked (recorded as error cells).
     pub failed: usize,
 }
 
 /// Execute a topo sweep and assemble its artifact.
 pub fn run(spec: &TopoSpec, opts: &TopoRunOptions) -> std::io::Result<TopoOutcome> {
-    spec.validate();
     let collect = opts.telemetry_out.is_some() || opts.trace_out.is_some();
-    let digest = spec.digest();
-    let pool = match opts.workers {
-        Some(w) => WorkerPool::new(w),
-        None => WorkerPool::auto(),
-    };
     if !opts.quiet {
         println!(
-            "topo sweep `{}` [{digest}]: {} cells on {} workers",
+            "topo sweep `{}` [{}]: {} cells on {} workers",
             spec.name,
+            spec.digest(),
             spec.cells.len(),
-            pool.workers()
+            opts.workers.unwrap_or_else(default_workers).max(1)
         );
     }
-    let indices: Vec<usize> = (0..spec.cells.len()).collect();
-    let results = pool.try_map(indices.clone(), {
-        let spec = spec.clone();
-        move |i: &usize| (*i, run_cell(&spec, *i, collect))
-    });
-    let mut done: BTreeMap<u64, Json> = BTreeMap::new();
-    // Per-cell telemetry, keyed by cell index: folding in index order
-    // makes the merged snapshot worker-count invariant.
-    let mut teles: BTreeMap<u64, CellTele> = BTreeMap::new();
-    let mut failed = 0;
-    for res in results {
-        match res {
-            Ok((i, (cell, tele))) => {
-                done.insert(i as u64, cell);
-                if let Some(t) = tele {
-                    teles.insert(i as u64, t);
-                }
-            }
-            Err(p) => {
-                // Key the error by the *cell index* the panicked item
-                // carried — not by the slot it occupies in the result
-                // vector, which only coincides with the cell index
-                // while the submitted work list is the identity.
-                failed += 1;
-                let cell_index = indices[p.index];
-                done.insert(
-                    cell_index as u64,
-                    Json::obj(vec![
-                        ("cell", Json::Num(cell_index as f64)),
-                        ("id", Json::Str(spec.cells[cell_index].id.clone())),
-                        ("error", Json::Str(p.message)),
-                    ]),
-                );
-            }
-        }
-    }
-    let artifact = Json::obj(vec![
-        ("format", Json::Str(ARTIFACT_FORMAT.into())),
-        ("digest", Json::Str(digest)),
-        ("spec", spec.manifest()),
-        ("cells", Json::Arr(done.into_values().collect())),
-    ]);
-    let text = artifact.to_string_pretty();
-    validate_artifact(&text)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    if let Some(path) = &opts.out {
-        write_atomic(path, &text)?;
-        if !opts.quiet {
-            println!("wrote {} ({} bytes)", path.display(), text.len());
-        }
+    let swept = sweep::run(spec, opts.workers, Report::default(), None, |i| {
+        run_cell(spec, i, collect)
+    })?;
+    let (_, text) = sweep::finish(
+        spec,
+        ARTIFACT_FORMAT,
+        swept.cells,
+        Vec::new(),
+        validate_artifact,
+        opts.out.as_deref(),
+    )?;
+    if let (Some(path), false) = (&opts.out, opts.quiet) {
+        println!("wrote {} ({} bytes)", path.display(), text.len());
     }
     if collect {
+        // Per-cell telemetry arrives in cell-index order: folding in
+        // that order makes the merged snapshot worker-count invariant.
         let mut snap: Option<dra_telemetry::NetScopeSnapshot> = None;
         let mut trace: Vec<dra_telemetry::TraceEvent> = Vec::new();
-        for boxed in teles.into_values() {
+        for boxed in swept.outputs.into_iter().filter_map(|(_, t)| t) {
             let (s, t) = *boxed;
             match &mut snap {
                 None => snap = Some(s),
@@ -176,8 +133,7 @@ pub fn run(spec: &TopoSpec, opts: &TopoRunOptions) -> std::io::Result<TopoOutcom
     Ok(TopoOutcome {
         artifact_text: text,
         path: opts.out.clone(),
-        cells: spec.cells.len(),
-        failed,
+        failed: swept.failed,
     })
 }
 
@@ -403,101 +359,49 @@ fn run_cell(spec: &TopoSpec, index: usize, collect: bool) -> (Json, Option<CellT
     (record, cell_tele)
 }
 
-fn welford_json(w: &Welford) -> Json {
-    if w.count() == 0 {
-        return Json::obj(vec![("n", Json::Num(0.0))]);
-    }
-    let ci = if w.count() >= 2 {
-        w.ci_half_width(1.96)
-    } else {
-        0.0
-    };
-    Json::obj(vec![
-        ("n", Json::Num(w.count() as f64)),
-        ("mean", Json::Num(w.mean())),
-        ("ci95", Json::Num(ci)),
-        ("min", Json::Num(w.min())),
-        ("max", Json::Num(w.max())),
-    ])
-}
-
-fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir)?;
-        }
-    }
-    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
-}
-
-/// Structural validation of a `dra-topo/v1` document, including the
-/// network packet-conservation invariant per cell. Returns
+/// Validation of a `dra-topo/v1` document (used by `topo --check` and
+/// by [`run`] before it writes): the shared envelope, then per cell
+/// the integer packet census, packet conservation, a delivery ratio in
+/// [0, 1], and, for a cell whose spec says `faults.kind == "none"`, no
+/// drop to any cause but `link_congested`. Returns
 /// `(cells, error_cells)`.
 pub fn validate_artifact(text: &str) -> Result<(usize, usize), String> {
-    let doc = parse(text).map_err(|e| e.to_string())?;
-    if doc.get("format").and_then(Json::as_str) != Some(ARTIFACT_FORMAT) {
-        return Err(format!(
-            "format is {:?}, expected {ARTIFACT_FORMAT:?}",
-            doc.get("format")
-        ));
-    }
-    doc.get("digest")
-        .and_then(Json::as_str)
-        .filter(|d| d.len() == 16)
-        .ok_or("missing/malformed digest")?;
-    let spec_cells = doc
-        .get("spec")
-        .and_then(|s| s.get("cells"))
-        .and_then(Json::as_arr)
-        .ok_or("missing spec manifest cells")?;
-    let cells = doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("missing cells array")?;
-    if cells.len() != spec_cells.len() {
-        return Err(format!(
-            "artifact has {} cells but the spec declares {}",
-            cells.len(),
-            spec_cells.len()
-        ));
-    }
-    let mut errors = 0;
-    for (i, cell) in cells.iter().enumerate() {
-        let idx = cell
-            .get("cell")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("cell {i}: missing index"))?;
-        if idx != i as u64 {
-            return Err(format!("cell {i}: out of order (index {idx})"));
-        }
-        cell.get("id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("cell {i}: missing id"))?;
-        if cell.get("error").is_some() {
-            errors += 1;
-            continue;
-        }
-        let num = |key: &str| -> Result<u64, String> {
+    let (_, cells, errors) = check_artifact(text, ARTIFACT_FORMAT, |i, cell, spec_cell| {
+        // Json::as_u64 admits only integers in [0, 2^53]; anything else
+        // is an error, never a silent 0.
+        let not_count = |what: &str| format!("cell {i}: {what} is not an integer in [0, 2^53]");
+        let count = |key: &str| {
             cell.get(key)
                 .and_then(Json::as_u64)
-                .ok_or_else(|| format!("cell {i}: missing {key}"))
+                .ok_or_else(|| not_count(key))
         };
-        let injected = num("injected")?;
-        let delivered = num("delivered")?;
-        let in_flight = num("in_flight")?;
-        let dropped: u64 = match cell.get("drops") {
-            Some(Json::Obj(pairs)) => pairs.iter().filter_map(|(_, v)| v.as_u64()).sum(),
-            _ => return Err(format!("cell {i}: missing drops object")),
+        let injected = count("injected")?;
+        let delivered = count("delivered")?;
+        let in_flight = count("in_flight")?;
+        let Some(Json::Obj(drops)) = cell.get("drops") else {
+            return Err(format!("cell {i}: missing drops object"));
         };
-        if injected != delivered + dropped + in_flight {
+        let healthy = spec_cell
+            .get("faults")
+            .and_then(|f| f.get("kind"))
+            .and_then(Json::as_str)
+            == Some("none");
+        let mut dropped = 0u64;
+        for (cause, v) in drops {
+            let n = v
+                .as_u64()
+                .ok_or_else(|| not_count(&format!("drops.{cause}")))?;
+            if healthy && n > 0 && cause != NetDropCause::LinkCongested.name() {
+                return Err(format!(
+                    "cell {i}: healthy cell drops {n} packets to {cause}"
+                ));
+            }
+            dropped = dropped.saturating_add(n);
+        }
+        let accounted = delivered
+            .checked_add(dropped)
+            .and_then(|d| d.checked_add(in_flight));
+        if accounted != Some(injected) {
             return Err(format!(
                 "cell {i}: conservation violated: {injected} != {delivered} + {dropped} + {in_flight}"
             ));
@@ -510,8 +414,9 @@ pub fn validate_artifact(text: &str) -> Result<(usize, usize), String> {
         if !(0.0..=1.0).contains(&ratio) {
             return Err(format!("cell {i}: delivery ratio {ratio} outside [0,1]"));
         }
-    }
-    Ok((cells.len(), errors))
+        Ok(())
+    })?;
+    Ok((cells, errors))
 }
 
 #[cfg(test)]
@@ -520,6 +425,7 @@ mod tests {
     use crate::link::LinkConfig;
     use crate::spec::FlowSpec;
     use crate::topology::TopologyKind;
+    use dra_campaign::json::parse;
     use dra_core::handle::ArchKind;
 
     fn tiny_spec() -> TopoSpec {
@@ -548,29 +454,6 @@ mod tests {
                 cell("dra/mesh/r2", ArchKind::Dra, 0),
             ],
         }
-    }
-
-    #[test]
-    fn artifact_is_worker_count_invariant() {
-        let spec = tiny_spec();
-        let run_with = |w| {
-            run(
-                &spec,
-                &TopoRunOptions {
-                    workers: Some(w),
-                    out: None,
-                    quiet: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-            .artifact_text
-        };
-        let w1 = run_with(1);
-        let w4 = run_with(4);
-        assert_eq!(w1, w4, "artifact must be byte-identical at 1 vs 4 workers");
-        let (cells, errors) = validate_artifact(&w1).unwrap();
-        assert_eq!((cells, errors), (2, 0));
     }
 
     #[test]
@@ -607,39 +490,57 @@ mod tests {
         );
     }
 
-    #[test]
-    fn panicked_cells_are_keyed_by_cell_index() {
+    /// Check a healthy twin pair's artifact with the last `from`
+    /// (a field of cell 1) replaced by `to`.
+    fn check_healthy_with(from: &str, to: &str) -> Result<(usize, usize), String> {
         let mut spec = tiny_spec();
-        // Passes spec validation but panics during topology build:
-        // the mesh generator rejects single-row grids.
-        spec.cells[0].topology = TopologyKind::Mesh2D { rows: 1, cols: 9 };
-        for workers in [1, 4] {
-            let out = run(
-                &spec,
-                &TopoRunOptions {
-                    workers: Some(workers),
-                    out: None,
-                    quiet: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(out.failed, 1, "workers = {workers}");
-            let doc = parse(&out.artifact_text).unwrap();
-            let cells = doc.get("cells").and_then(Json::as_arr).unwrap();
-            let bad = &cells[0];
-            assert_eq!(bad.get("cell").and_then(Json::as_u64), Some(0));
-            assert_eq!(bad.get("id").and_then(Json::as_str), Some("bdr/mesh/r2"));
-            assert!(
-                bad.get("error")
-                    .and_then(Json::as_str)
-                    .unwrap()
-                    .contains("mesh needs rows"),
-                "error cell must carry the panic message"
+        for cell in &mut spec.cells {
+            cell.faults = TopoFaultSpec::None;
+        }
+        let opts = TopoRunOptions {
+            workers: Some(1),
+            quiet: true,
+            ..Default::default()
+        };
+        let text = run(&spec, &opts).unwrap().artifact_text;
+        let at = text.rfind(from).expect("field present");
+        validate_artifact(&format!("{}{to}{}", &text[..at], &text[at + from.len()..]))
+    }
+
+    #[test]
+    fn check_rejects_any_drop_but_congestion_in_a_healthy_cell() {
+        assert_eq!(check_healthy_with("", ""), Ok((2, 0)));
+        let err = check_healthy_with("\"ttl_exceeded\": 0", "\"ttl_exceeded\": 1").unwrap_err();
+        assert_eq!(err, "cell 1: healthy cell drops 1 packets to ttl_exceeded");
+        // Congestion is no fault: only the census is then off by one.
+        let err = check_healthy_with("\"link_congested\": 0", "\"link_congested\": 1");
+        assert!(err.unwrap_err().contains("conservation violated"));
+    }
+
+    #[test]
+    fn check_rejects_a_drop_count_that_is_not_an_integer() {
+        for bad in ["\"0\"", "0.5", "-1", "1e300", "null"] {
+            let err = check_healthy_with("\"link_down\": 0", &format!("\"link_down\": {bad}"));
+            assert_eq!(
+                err.unwrap_err(),
+                "cell 1: drops.link_down is not an integer in [0, 2^53]",
+                "{bad}"
             );
-            assert!(cells[1].get("error").is_none(), "healthy cell untouched");
-            let (n, errors) = validate_artifact(&out.artifact_text).unwrap();
-            assert_eq!((n, errors), (2, 1));
+        }
+    }
+
+    #[test]
+    fn committed_artifacts_pass_check() {
+        let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for name in [
+            "topo_resilience.json",
+            "topo_scale.json",
+            "topo_scale2.json",
+        ] {
+            let text = std::fs::read_to_string(results.join(name)).unwrap();
+            let (cells, errors) =
+                validate_artifact(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(cells > 0 && errors == 0, "{name}");
         }
     }
 

@@ -23,8 +23,9 @@
 //! * [`seeds`] — the per-node SplitMix64 seed coordinate keeping N
 //!   co-simulated routers' randomness pairwise disjoint.
 //! * [`spec`] / [`engine`] / [`registry`] — declarative sweeps over
-//!   topology × faults × architecture, executed on the campaign worker
-//!   pool into byte-reproducible `dra-topo/v1` artifacts.
+//!   topology × faults × architecture, executed by the campaign
+//!   crate's shared sweep runner into byte-reproducible, semantically
+//!   checked `dra-topo/v1` artifacts.
 //! * [`telemetry`] — network-scope observability: per-router
 //!   counters, hop-resolved flow spans with Perfetto export, and the
 //!   fault-forensics ledger, exported as a `dra-topo-telemetry/v2`

@@ -62,8 +62,6 @@ pub struct NetConfig {
     pub coverage_bps: f64,
     /// Backlog bound of the per-node coverage budget, seconds.
     pub coverage_backlog_s: f64,
-    /// Hop budget per packet (defensive; routes are loop-free).
-    pub ttl: u8,
     /// End-to-end packet size, bytes.
     pub packet_bytes: u32,
     /// Flow injection stops at this time (the remainder of the
@@ -78,7 +76,6 @@ impl Default for NetConfig {
             node_transit_s: 2e-6,
             coverage_bps: 20e9,
             coverage_backlog_s: 200e-6,
-            ttl: 32,
             packet_bytes: 700,
             traffic_stop_s: f64::MAX,
         }
@@ -177,10 +174,8 @@ pub struct NetPacket {
     /// Destination node (node ids fit `u16`; `node_prefix` asserts
     /// the same bound when deriving addresses).
     pub dst: u16,
-    /// Remaining hop budget.
-    pub ttl: u8,
-    /// Router hops taken so far.
-    pub hops: u8,
+    /// Router transits so far, the current one included.
+    pub hops: u16,
 }
 
 // The per-event payload budget the hot-path overhaul pays for: a
@@ -311,6 +306,10 @@ pub struct NetworkSim {
     links: LinkArena,
     /// Per-node EIB coverage budget (fluid queue drain time).
     covered_busy: Vec<f64>,
+    /// Forwards a packet may make: the longest min-hop route. Only a
+    /// routing bug exceeds it; such a packet drops as
+    /// [`NetDropCause::TtlExceeded`].
+    hop_budget: u16,
     /// Flows.
     flows: Vec<Flow>,
     /// Ordered network fault timeline.
@@ -349,6 +348,7 @@ impl NetworkSim {
         }
         let routes = RouteTables::derive(&topo);
         let fibs = compile_fibs(&topo, &routes);
+        let hop_budget = u16::try_from(routes.max_hops).expect("diameter < node count ≤ 2^16");
         let nodes = (0..topo.n_nodes() as u32)
             .map(|n| {
                 let base = BdrConfig {
@@ -371,6 +371,7 @@ impl NetworkSim {
             nodes,
             links,
             covered_busy,
+            hop_budget,
             flows,
             scenario: Vec::new(),
             compiled: Vec::new(),
@@ -511,14 +512,15 @@ impl NetworkSim {
 
     /// The per-hop core: advance the router to `now`, run health
     /// checks and the FIB lookup, charge the EIB coverage budget, and
-    /// decide the packet's fate. Mutates `pkt` (hop count, TTL). The
+    /// decide the packet's fate. Mutates `pkt` (hop count). The
     /// operation *order* is load-bearing for byte-identical artifacts
-    /// (e.g. the coverage budget is consumed before the TTL check).
+    /// (e.g. the coverage budget is consumed before the hop-budget
+    /// check).
     fn hop(&mut self, node: u32, now: f64, pkt: &mut NetPacket, in_port: u16) -> HopOutcome {
         let n = node as usize;
         let router = &mut self.nodes[n];
         let cfg = &self.cfg;
-        pkt.hops = pkt.hops.saturating_add(1);
+        pkt.hops += 1;
         router.advance_to(now);
         if !router.lc_serviceable(in_port) {
             return HopOutcome::Drop(NetDropCause::IngressDown);
@@ -548,10 +550,11 @@ impl NetworkSim {
         if node == pkt.dst as u32 {
             HopOutcome::Deliver { delay_s: delay }
         } else {
-            if pkt.ttl == 0 {
+            // Forward number `hops` of a min-hop route never exceeds
+            // the diameter.
+            if pkt.hops > self.hop_budget {
                 return HopOutcome::Drop(NetDropCause::TtlExceeded);
             }
-            pkt.ttl -= 1;
             HopOutcome::Forward {
                 delay_s: delay,
                 out_port,
@@ -606,7 +609,6 @@ impl Model for NetworkSim {
                     injected_at: ctx.now(),
                     flow,
                     dst: f.dst as u16,
-                    ttl: self.cfg.ttl,
                     hops: 0,
                 };
                 self.next_pkt_id += 1;

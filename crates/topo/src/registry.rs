@@ -193,6 +193,7 @@ pub fn scale2(quick: bool) -> TopoSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::build_network;
     use crate::topology::Topology;
 
     #[test]
@@ -248,5 +249,42 @@ mod tests {
         for want in ["fat-tree-k4", "mesh-4x4", "ba-n64-m2"] {
             assert!(labels.iter().any(|l| l == want), "missing {want}");
         }
+    }
+
+    /// Every distinct topology any named sweep uses delivers every
+    /// packet, on both architectures, when nothing fails: min-hop
+    /// routes on a connected graph reach every destination, and the
+    /// drain outlasts the longest route.
+    #[test]
+    fn every_registry_topology_delivers_everything_when_healthy() {
+        let mut seen = Vec::new();
+        for name in NAMES {
+            for quick in [false, true] {
+                let spec = spec_by_name(name, quick).unwrap();
+                for cell in spec.cells {
+                    if seen.contains(&cell.topology) {
+                        continue;
+                    }
+                    seen.push(cell.topology);
+                    for arch in [ArchKind::Bdr, ArchKind::Dra] {
+                        let cell = TopoCellSpec {
+                            arch,
+                            faults: TopoFaultSpec::None,
+                            horizon_s: 2.5e-3,
+                            drain_s: 1.5e-3,
+                            ..cell.clone()
+                        };
+                        let net = build_network(&cell, spec.master_seed, 0);
+                        let s = net.run(spec.master_seed, cell.horizon_s).stats;
+                        let what = format!("{arch:?} {}", cell.topology.label());
+                        assert!(s.injected > 0, "{what}");
+                        assert_eq!(s.delivered, s.injected, "{what}: drops {:?}", s.drops);
+                        assert_eq!(s.dropped_total(), 0, "{what}");
+                        assert_eq!(s.in_flight, 0, "{what}");
+                    }
+                }
+            }
+        }
+        assert_eq!(seen.len(), 8, "{seen:?}");
     }
 }

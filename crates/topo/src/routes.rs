@@ -35,6 +35,9 @@ pub fn node_addr(node: u32, host: u64) -> Ipv4Addr {
 pub struct RouteTables {
     /// Per-node, per-destination egress ports.
     pub next_port: Vec<Vec<u16>>,
+    /// Links on the longest min-hop route (the graph's diameter): no
+    /// packet following these tables forwards more often than this.
+    pub max_hops: u32,
 }
 
 impl RouteTables {
@@ -43,6 +46,7 @@ impl RouteTables {
     pub fn derive(topo: &Topology) -> RouteTables {
         let n = topo.n_nodes();
         let mut next_port = vec![vec![0u16; n]; n];
+        let mut max_hops = 0;
         let mut dist = vec![0u32; n];
         let mut queue = std::collections::VecDeque::new();
         for dst in 0..n as u32 {
@@ -54,6 +58,7 @@ impl RouteTables {
                 for &w in &topo.adj[v as usize] {
                     if dist[w as usize] == u32::MAX {
                         dist[w as usize] = dist[v as usize] + 1;
+                        max_hops = max_hops.max(dist[w as usize]);
                         queue.push_back(w);
                     }
                 }
@@ -77,7 +82,10 @@ impl RouteTables {
                 next_port[node as usize][dst as usize] = bp;
             }
         }
-        RouteTables { next_port }
+        RouteTables {
+            next_port,
+            max_hops,
+        }
     }
 
     /// Hop count from `src` to `dst` following the tables (for tests
@@ -148,9 +156,15 @@ mod tests {
                     }
                 }
             }
+            let longest = (0..n)
+                .flat_map(|s| (0..n).map(move |d| (s, d)))
+                .map(|(s, d)| routes.hops(&topo, s, d))
+                .max();
+            assert_eq!(longest, Some(routes.max_hops as usize), "{kind:?}");
             // Mesh distances are Manhattan; spot-check corners.
             if kind == (TopologyKind::Mesh2D { rows: 4, cols: 4 }) {
                 assert_eq!(routes.hops(&topo, 0, 15), 6);
+                assert_eq!(routes.max_hops, 6);
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Declarative topo-sweep specs and their canonical manifests.
 //!
-//! A [`TopoSpec`] is a grid of [`TopoCellSpec`]s — architecture ×
-//! topology × fault spec × traffic — exactly parallel to
+//! A [`TopoSpec`] is a [`Grid`] of [`TopoCellSpec`]s — architecture ×
+//! topology × fault spec × traffic — the same envelope as
 //! [`dra_campaign::spec::CampaignSpec`]. The manifest serializes every
 //! behavior-relevant field in a fixed order; its FNV-1a digest stamps
 //! the artifact, so two artifacts with equal digests came from equal
@@ -17,6 +17,7 @@
 use crate::link::LinkConfig;
 use crate::topology::TopologyKind;
 use dra_campaign::json::Json;
+use dra_campaign::sweep::{Grid, GridCell};
 use dra_core::handle::ArchKind;
 
 /// Network-level fault model of one cell.
@@ -128,7 +129,40 @@ pub struct TopoCellSpec {
     pub seed_group: u64,
 }
 
-impl TopoCellSpec {
+impl GridCell for TopoCellSpec {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
+    fn validate(&self, _index: usize) {
+        let c = self;
+        assert!(c.horizon_s > 0.0 && c.horizon_s.is_finite(), "{}", c.id);
+        assert!(
+            c.drain_s >= 0.0 && c.drain_s < c.horizon_s,
+            "{}: drain must leave an injection window",
+            c.id
+        );
+        assert!(c.replications >= 1, "{}", c.id);
+        assert!(c.flows.n_flows >= 1 && c.flows.rate_pps > 0.0, "{}", c.id);
+        assert!(c.flows.packet_bytes > 0, "{}", c.id);
+        if let TopoFaultSpec::FailRouters { at_s, .. } | TopoFaultSpec::FailLinks { at_s, .. } =
+            c.faults
+        {
+            assert!(
+                (0.0..c.horizon_s).contains(&at_s),
+                "{}: fault instant outside horizon",
+                c.id
+            );
+        }
+        if let TopoFaultSpec::Renewal {
+            delay_scale,
+            repair_h,
+        } = c.faults
+        {
+            assert!(delay_scale > 0.0 && repair_h > 0.0, "{}", c.id);
+        }
+    }
+
     fn manifest(&self) -> Json {
         let t = match self.topology {
             TopologyKind::FatTree { k } => Json::obj(vec![
@@ -176,82 +210,8 @@ impl TopoCellSpec {
     }
 }
 
-/// A whole topo sweep.
-#[derive(Debug, Clone)]
-pub struct TopoSpec {
-    /// Sweep name (artifact + default output file name).
-    pub name: String,
-    /// One-line description.
-    pub description: String,
-    /// Master seed all per-cell streams derive from.
-    pub master_seed: u64,
-    /// The grid.
-    pub cells: Vec<TopoCellSpec>,
-}
-
-impl TopoSpec {
-    /// Canonical manifest: every behavior-relevant field, fixed order.
-    pub fn manifest(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("description", Json::Str(self.description.clone())),
-            ("master_seed", Json::Num(self.master_seed as f64)),
-            (
-                "cells",
-                Json::Arr(self.cells.iter().map(TopoCellSpec::manifest).collect()),
-            ),
-        ])
-    }
-
-    /// FNV-1a digest of the compact manifest (16 hex chars).
-    pub fn digest(&self) -> String {
-        let text = self.manifest().to_string_compact();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{h:016x}")
-    }
-
-    /// Sanity-check the grid.
-    ///
-    /// # Panics
-    /// Panics on duplicate cell ids or degenerate cell parameters.
-    pub fn validate(&self) {
-        let mut ids: Vec<&str> = self.cells.iter().map(|c| c.id.as_str()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), self.cells.len(), "duplicate cell ids");
-        for c in &self.cells {
-            assert!(c.horizon_s > 0.0 && c.horizon_s.is_finite(), "{}", c.id);
-            assert!(
-                c.drain_s >= 0.0 && c.drain_s < c.horizon_s,
-                "{}: drain must leave an injection window",
-                c.id
-            );
-            assert!(c.replications >= 1, "{}", c.id);
-            assert!(c.flows.n_flows >= 1 && c.flows.rate_pps > 0.0, "{}", c.id);
-            assert!(c.flows.packet_bytes > 0, "{}", c.id);
-            if let TopoFaultSpec::FailRouters { at_s, .. } | TopoFaultSpec::FailLinks { at_s, .. } =
-                c.faults
-            {
-                assert!(
-                    (0.0..c.horizon_s).contains(&at_s),
-                    "{}: fault instant outside horizon",
-                    c.id
-                );
-            }
-            if let TopoFaultSpec::Renewal {
-                delay_scale,
-                repair_h,
-            } = c.faults
-            {
-                assert!(delay_scale > 0.0 && repair_h > 0.0, "{}", c.id);
-            }
-        }
-    }
-}
+/// A whole topo sweep: a [`Grid`] of [`TopoCellSpec`]s.
+pub type TopoSpec = Grid<TopoCellSpec>;
 
 #[cfg(test)]
 mod tests {
@@ -285,23 +245,8 @@ mod tests {
             cells: vec![cell("a")],
         };
         spec.validate();
-        let d1 = spec.digest();
-        assert_eq!(d1.len(), 16);
-        let mut spec2 = spec.clone();
-        assert_eq!(spec2.digest(), d1, "digest is a pure function");
-        spec2.cells[0].flows.rate_pps = 2e4;
-        assert_ne!(spec2.digest(), d1, "digest sees traffic changes");
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate cell ids")]
-    fn duplicate_ids_rejected() {
-        TopoSpec {
-            name: "t".into(),
-            description: "d".into(),
-            master_seed: 1,
-            cells: vec![cell("a"), cell("a")],
-        }
-        .validate();
+        let mut other = spec.clone();
+        other.cells[0].flows.rate_pps = 2e4;
+        assert_ne!(spec.digest(), other.digest(), "digest sees traffic changes");
     }
 }

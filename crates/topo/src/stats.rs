@@ -28,7 +28,8 @@ pub enum NetDropCause {
     /// A DRA coverage detour existed but the EIB's promised bandwidth
     /// was oversubscribed at this node.
     CoverageSaturated = 6,
-    /// Hop budget exhausted (defensive; min-hop routes are loop-free).
+    /// A packet forwarded more often than the longest min-hop route
+    /// allows: a routing-bug guard that healthy runs never trip.
     TtlExceeded = 7,
 }
 

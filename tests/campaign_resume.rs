@@ -31,7 +31,7 @@ fn interrupted_campaign_resumes_to_identical_artifact() {
     let full = run(
         &spec,
         &RunOptions {
-            workers: 1,
+            workers: Some(1),
             out: Some(full_path.clone()),
             ..RunOptions::default()
         },
@@ -45,7 +45,7 @@ fn interrupted_campaign_resumes_to_identical_artifact() {
     let first = run(
         &spec,
         &RunOptions {
-            workers: 1,
+            workers: Some(1),
             out: Some(part_path.clone()),
             cell_budget: Some(1),
             ..RunOptions::default()
@@ -64,7 +64,7 @@ fn interrupted_campaign_resumes_to_identical_artifact() {
     let second = run(
         &spec,
         &RunOptions {
-            workers: 1,
+            workers: Some(1),
             out: Some(part_path.clone()),
             ..RunOptions::default()
         },
@@ -99,7 +99,7 @@ fn stale_checkpoint_from_a_different_spec_is_ignored() {
     let first = run(
         &other,
         &RunOptions {
-            workers: 1,
+            workers: Some(1),
             out: Some(out.clone()),
             cell_budget: Some(1),
             ..RunOptions::default()
@@ -115,7 +115,7 @@ fn stale_checkpoint_from_a_different_spec_is_ignored() {
     let outcome = run(
         &spec,
         &RunOptions {
-            workers: 1,
+            workers: Some(1),
             out: Some(out.clone()),
             ..RunOptions::default()
         },

@@ -84,7 +84,7 @@ fn campaign_artifact_is_byte_identical_across_worker_counts() {
         let outcome = run(
             &spec,
             &RunOptions {
-                workers,
+                workers: Some(workers),
                 ..RunOptions::default()
             },
         )
